@@ -10,11 +10,11 @@ arguments for square values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .arith import as_perfect_square
 from .families import xi_poly
-from .poly import UPoly, upoly_gcd
+from .poly import UPoly, gcd_is_constant_mod, upoly_gcd
 from .polytext import format_upoly
 
 __all__ = [
@@ -75,37 +75,6 @@ def curve_rhs(n: int, side: str) -> CurveSpec:
 # -- squarefreeness -------------------------------------------------------
 
 
-def _gcd_is_constant_mod(ints: List[int], dints: List[int], p: int) -> Optional[bool]:
-    """Whether gcd(f, f') is constant modulo p, or None if p is unusable
-    (divides a leading coefficient).  A constant modular gcd certifies a
-    constant rational gcd; the converse needs the exact computation."""
-    f = [c % p for c in ints]
-    g = [c % p for c in dints]
-    if f[-1] == 0 or g[-1] == 0:
-        return None
-    while True:
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            break
-        if len(g) == 1:
-            return True
-        inv = pow(g[-1], p - 2, p)
-        # one euclidean remainder step: f mod g
-        f = f[:]
-        while len(f) >= len(g):
-            scale = f[-1] * inv % p
-            off = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[off + i] = (f[off + i] - scale * c) % p
-            while f and f[-1] == 0:
-                f.pop()
-            if not f:
-                return False
-        f, g = g, f
-    return False
-
-
 _CERT_PRIMES = (2305843009213693951, 4611686018427387847)
 
 
@@ -120,7 +89,7 @@ def is_squarefree(curve) -> bool:
     if rhs.is_integral() and d.is_integral():
         ints, dints = rhs.int_coeffs(), d.int_coeffs()
         for p in _CERT_PRIMES:
-            if _gcd_is_constant_mod(ints, dints, p):
+            if gcd_is_constant_mod((ints, dints), p):
                 return True
     return upoly_gcd(rhs, d).degree == 0
 

@@ -44,7 +44,15 @@ from .maps import (
     normalize_point,
     on_surface,
 )
-from .poly import QuadExt, RatFunc, T, UPoly, upoly_gcd
+from .poly import (
+    QuadExt,
+    RatFunc,
+    T,
+    UPoly,
+    gcd_is_constant_mod,
+    int_poly_gcd,
+    upoly_gcd,
+)
 from .polytext import parse_upoly
 
 __all__ = [
@@ -655,36 +663,62 @@ def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
         n += 1
 
 
-def _parameter_candidates(nums, den, w) -> list[Fraction]:
-    """Rational t with nums(t)/den(t) equal to w as an ordered tuple, via
-    the gcd of the per-coordinate constraint polynomials.  Membership is
+# Descent prime: a one-word modulus keeps the modular certificate cheap, and
+# a leading coefficient it divides only sends the case to the exact gcd.
+_DESCENT_PRIME = 2**31 - 1
+
+
+@lru_cache(maxsize=None)
+def _int_family(index: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """(den, nums) of r(index), or of the quartic family for index 0, as
+    integer coefficient lists.  Built on first use, so importing the module
+    and p_family()/r_family() do no extra work."""
+    if index:
+        den, nums = r_family(index)
+    else:
+        d, nums = p_family()
+        den = UPoly((d,))
+    return tuple(den.int_coeffs()), tuple(tuple(n.int_coeffs()) for n in nums)
+
+
+def _parameter_candidates(den, nums, w) -> list[Fraction]:
+    """Rational t with nums(t)/den(t) equal to w as an ordered tuple, for
+    integer coefficient lists den and nums, via the gcd of the integer
+    constraints q_j n_j(t) - p_j den(t), where w_j = p_j/q_j.  Membership is
     exact equality of signed tuples: a family value whose involution image
-    equals w does not count, matching the bundled table's convention.  The
-    gcd almost always has degree at most one, so the common case needs no
-    root isolation at all."""
-    den_p = den if isinstance(den, UPoly) else UPoly((den,))
+    equals w does not count, matching the bundled table's convention.
+
+    A constant gcd modulo a prime that keeps the first constraint's degree
+    proves there is no candidate; otherwise the exact gcd decides.  It
+    almost always has degree at most one, so the common case needs no root
+    isolation at all."""
     constraints = []
-    for nj, sj in zip(nums, w):
-        c = nj - den_p * Fraction(sj)
-        if not c.is_zero():
+    for n, x in zip(nums, w):
+        p, q = x.numerator, x.denominator
+        c = [q * a for a in n] + [0] * (len(den) - len(n))
+        for k, b in enumerate(den):
+            c[k] -= p * b
+        while c and c[-1] == 0:
+            c.pop()
+        if c:
             constraints.append(c)
-    if not constraints:
+    if not constraints or gcd_is_constant_mod(constraints, _DESCENT_PRIME):
         return []
     g = constraints[0]
     for c in constraints[1:]:
-        if g.degree <= 1:
+        if len(g) <= 2:
             break
-        g = upoly_gcd(g, c)
-    if g.degree == 0:
+        g = int_poly_gcd(g, c)
+    if len(g) == 1:
         return []
-    if g.degree == 1:
-        return [Fraction(-g[0] / g[1])]
-    return _rational_roots(g)
+    if len(g) == 2:
+        return [Fraction(-g[0], g[1])]
+    return _rational_roots(UPoly(g))
 
 
 def _invert_p(pt: Tuple) -> Optional[Classification]:
-    den, nums = p_family()
-    for t in _parameter_candidates(nums, den, pt):
+    den, nums = _int_family(0)
+    for t in _parameter_candidates(den, nums, pt):
         if p_value(t) == pt:
             if t.denominator == 1:
                 t = t.numerator
@@ -694,9 +728,9 @@ def _invert_p(pt: Tuple) -> Optional[Classification]:
 
 def _invert_r(pt: Tuple) -> Optional[Classification]:
     for i in range(1, 16):
-        den, nums = r_family(i)
-        for t in _parameter_candidates(nums, den, pt):
-            if _int_eval(den, t) == 0:
+        den, nums = _int_family(i)
+        for t in _parameter_candidates(den, nums, pt):
+            if _horner_int(den, t) == 0:
                 continue
             if r_value(i, t) == pt:
                 if t.denominator == 1:

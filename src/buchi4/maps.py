@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import product
+from math import lcm
 from typing import Tuple
 
 from .mpoly import MPoly4
@@ -171,21 +172,59 @@ def _is_zero(v) -> bool:
     return v == 0
 
 
-def _ratio(num, den):
-    if isinstance(num, (int, Fraction)) and isinstance(den, (int, Fraction)):
-        return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else Fraction(num) / Fraction(den)
-    return RatFunc.of(num) / RatFunc.of(den)
+_PHI_UNDEFINED = "the involution is undefined where (b - c)^2 (a - 2b + c) vanishes"
+
+
+@lru_cache(maxsize=1)
+def _phi_table():
+    """p1..p4 and q as one integer evaluation table, built on first use:
+    every monomial as its four exponents plus its co-degree h - deg, where
+    h is the largest total degree among the five; per polynomial its
+    (coefficient, monomial index) pairs; and the largest exponent."""
+    polys = (*phi_map().p, phi_map().q)
+    keys = sorted({k for f in polys for k in f.terms})
+    hom = max(sum(k) for k in keys)
+    monos = tuple((*k, hom - sum(k)) for k in keys)
+    index = {k: j for j, k in enumerate(keys)}
+    terms = tuple(tuple((c, index[k]) for k, c in f.terms.items()) for f in polys)
+    return monos, terms, max(max(m) for m in monos)
+
+
+def _powers(x: int, top: int) -> list[int]:
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
+
+
+def _apply_phi_rational(pt: Point) -> Point:
+    """phi at an int/Fraction point over the integers.  With L the lcm of
+    the denominators and (A, B, C, D) = L * pt, each polynomial homogenized
+    to degree h gives L^h p_i(pt) and L^h q(pt) as integers, whose ratio is
+    the exact coordinate."""
+    monos, terms, top = _phi_table()
+    ell = lcm(*(x.denominator for x in pt))
+    ints = [x.numerator * (ell // x.denominator) for x in pt]
+    pa, pb, pc, pd, pl = (_powers(v, top) for v in (*ints, ell))
+    vals = [pa[a] * pb[b] * pc[c] * pd[d] * pl[e] for a, b, c, d, e in monos]
+    *nums, den = (sum(c * vals[j] for c, j in f) for f in terms)
+    if den == 0:
+        raise DenominatorVanishes(_PHI_UNDEFINED)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def apply_phi(pt: Point) -> Point:
-    """Image of a numeric or symbolic point; exact in both cases."""
+    """Image of a numeric or symbolic point; exact in both cases.  Integer
+    and rational points take the integer path; polynomial and rational
+    function coordinates are evaluated in their own ring."""
+    if all(isinstance(x, (int, Fraction)) for x in pt):
+        return _apply_phi_rational(pt)
     pm = phi_map()
     den = pm.q.evaluate(pt)
     if _is_zero(den):
-        raise DenominatorVanishes(
-            "the involution is undefined where (b - c)^2 (a - 2b + c) vanishes"
-        )
-    return tuple(_ratio(p.evaluate(pt), den) for p in pm.p)
+        raise DenominatorVanishes(_PHI_UNDEFINED)
+    den = RatFunc.of(den)
+    return tuple(RatFunc.of(p.evaluate(pt)) / den for p in pm.p)
 
 
 def apply_zeta(pt: Point) -> Point:

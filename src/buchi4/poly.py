@@ -11,13 +11,16 @@ polynomial families lives.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
+Its integer core also serves integer coefficient lists directly, and
+gcd_is_constant_mod is the modular certificate that lets callers skip the
+exact gcd when it would only prove a constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "UPoly",
@@ -27,6 +30,8 @@ __all__ = [
     "T",
     "QUAD_MODULUS",
     "upoly_gcd",
+    "int_poly_gcd",
+    "gcd_is_constant_mod",
 ]
 
 Scalar = Union[int, Fraction]
@@ -255,16 +260,11 @@ def _int_prem(f: list[int], g: list[int]) -> list[int]:
     return rem
 
 
-def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd via the subresultant pseudo-remainder sequence."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    F, _ = f.primitive_int()
-    G, _ = g.primitive_int()
+def int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd, with positive leading coefficient, of two nonzero
+    integer coefficient lists (lowest degree first), via the subresultant
+    pseudo-remainder sequence."""
+    F, G = _primitive(f), _primitive(g)
     if len(F) < len(G):
         F, G = G, F
     gk = 1
@@ -275,18 +275,73 @@ def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
         if not rem:
             break
         if len(rem) == 1:
-            G = [1]
-            break
+            return [1]
         divisor = gk * hk**delta
         assert all(c % divisor == 0 for c in rem)
         rem = [c // divisor for c in rem]
         F, G = G, rem
         gk = F[-1]
         hk = gk**delta // hk ** (delta - 1) if delta else hk
-    content = 0
-    for c in G:
-        content = int_gcd(content, c)
-    return UPoly([Fraction(c, content) for c in G]).monic()
+    return _primitive(G)
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, leading coefficient made positive."""
+    content = int_gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return f if content == 1 else [c // content for c in f]
+
+
+def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
+    """Monic gcd via the subresultant pseudo-remainder sequence."""
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    return UPoly(int_poly_gcd(f.primitive_int()[0], g.primitive_int()[0])).monic()
+
+
+def gcd_is_constant_mod(polys: Sequence[Sequence[int]], p: int) -> Optional[bool]:
+    """Whether the gcd of integer polynomials (coefficient lists, lowest
+    degree first) is constant modulo the prime p; None when p divides the
+    leading coefficient of the first one, which makes p unusable.
+
+    True certifies a constant gcd over the rationals (Brown's modular gcd
+    argument): the primitive integer gcd divides the first polynomial, so
+    by Gauss's lemma its leading coefficient survives reduction mod p, and
+    its reduction, of the same degree, divides every reduced polynomial.
+    False proves nothing; the exact gcd has to decide.
+    """
+    g = [c % p for c in polys[0]]
+    if g[-1] == 0:
+        return None
+    for h in polys[1:]:
+        if len(g) == 1:
+            return True
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        while h:
+            g, h = h, _rem_mod(g, h, p)
+    return len(g) == 1
+
+
+def _rem_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Remainder of f by g (nonzero leading coefficient) modulo p."""
+    f = f[:]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    while len(f) > dg:
+        q = f.pop() * inv % p
+        off = len(f) - dg
+        for i in range(dg):
+            f[off + i] = (f[off + i] - q * g[i]) % p
+        while f and f[-1] == 0:
+            f.pop()
+    return f
 
 
 # -- rational functions -----------------------------------------------------

@@ -1,10 +1,14 @@
 """The argparse front end: output shapes and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from buchi4.cli import main
+from buchi4.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -112,3 +116,21 @@ def test_usage_errors_exit_nonzero(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_readme_command_lines_parse():
+    # every `$ buchi4 ...` example in the README is accepted by the parser;
+    # nothing is executed
+    lines = [
+        line.strip()[2:]
+        for line in README.read_text().splitlines()
+        if line.strip().startswith("$ buchi4 ")
+    ]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line rejected: {line}")

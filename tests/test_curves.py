@@ -3,6 +3,7 @@
 import pytest
 
 from buchi4.curves import (
+    _CERT_PRIMES,
     TRIVIAL_PARAMETERS,
     CurveSpec,
     curve_rhs,
@@ -11,7 +12,7 @@ from buchi4.curves import (
     scan_integer_points,
 )
 from buchi4.families import extends, xi_eval
-from buchi4.poly import T, UPoly
+from buchi4.poly import T, UPoly, gcd_is_constant_mod
 from buchi4.polytext import format_upoly, parse_upoly
 
 C1R = "4t^6 + 80t^5 + 620t^4 + 2400t^3 + 4905t^2 + 5020t + 2020"
@@ -65,6 +66,18 @@ def test_squarefree_low_levels():
     for n in (1, 2, 3, 4, 5, 6):
         assert is_squarefree(curve_rhs(n, "right"))
         assert is_squarefree(curve_rhs(n, "left"))
+
+
+def test_every_curve_is_certified_squarefree_by_the_modular_gcd():
+    # all 16 curves of the benchmark, n = 1..8 on both sides; each must be
+    # certified by one of the two primes, not only by the exact fallback
+    for n in range(1, 9):
+        for side in ("right", "left"):
+            curve = curve_rhs(n, side)
+            ints = curve.coefficients()
+            dints = curve.rhs.derivative().int_coeffs()
+            assert any(gcd_is_constant_mod((ints, dints), p) for p in _CERT_PRIMES)
+            assert is_squarefree(curve)
 
 
 def test_squarefree_rejects_squares():

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from buchi4.families import (
     Classification,
+    _int_family,
+    _parameter_candidates,
+    _rational_roots,
     F_POLY,
     NonIntegral,
     classify,
@@ -36,8 +39,15 @@ from buchi4.families import (
     xi_eval,
     xi_poly,
 )
-from buchi4.maps import DenominatorVanishes, apply_zeta, normalize_point, on_surface
-from buchi4.poly import UPoly
+from buchi4.maps import (
+    DenominatorVanishes,
+    apply_zeta,
+    apply_zeta_inv,
+    normalize_point,
+    on_surface,
+)
+from buchi4.poly import UPoly, gcd_is_constant_mod, upoly_gcd
+from buchi4.search import bundled_table
 
 # the three low rows, coefficients constant-first
 XI1 = (
@@ -372,3 +382,90 @@ def test_classify_recovers_the_quartic_family(t):
         assert cls.kind == "trivial"
     else:
         assert (cls.kind, cls.t) == ("p", t)
+
+
+# -- the integer family match and its modular certificate --------------------
+
+# index 0 is the quartic family, 1..15 the rational families
+FAMILY_INDICES = range(16)
+CERT_PRIME = 2**31 - 1
+
+
+def _family(index):
+    return r_family(index) if index else p_family()
+
+
+def _family_value(index, t):
+    return r_value(index, t) if index else p_value(t)
+
+
+def _reference_candidates(den, nums, w):
+    """The Fraction path the integer one replaced: the gcd of the
+    constraints n_j - den w_j as UPoly, by upoly_gcd."""
+    den_p = den if isinstance(den, UPoly) else UPoly((den,))
+    constraints = [nj - den_p * Fraction(sj) for nj, sj in zip(nums, w)]
+    constraints = [c for c in constraints if not c.is_zero()]
+    if not constraints:
+        return []
+    g = constraints[0]
+    for c in constraints[1:]:
+        if g.degree <= 1:
+            break
+        g = upoly_gcd(g, c)
+    if g.degree == 0:
+        return []
+    if g.degree == 1:
+        return [Fraction(-g[0] / g[1])]
+    return _rational_roots(g)
+
+
+def test_parameter_candidates_find_members_at_integer_and_rational_t():
+    params = (-3, 1, 2, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(11, 5))
+    for index in FAMILY_INDICES:
+        for t in params:
+            try:
+                value = _family_value(index, t)
+            except DenominatorVanishes:
+                continue
+            got = _parameter_candidates(*_int_family(index), value)
+            assert Fraction(t) in got, (index, t, got)
+            assert got == _reference_candidates(*_family(index), value)
+
+
+def _table_points_and_lifts():
+    rows = sorted({row for _, row in bundled_table() if row[1] <= 30000})
+    points = []
+    for row in rows:
+        points.append(row)
+        for step in (apply_zeta, apply_zeta_inv):
+            try:
+                points.append(step(row))
+            except DenominatorVanishes:
+                pass
+    return rows, points
+
+
+def test_parameter_candidates_match_the_fraction_path_off_the_families():
+    rows, points = _table_points_and_lifts()
+    assert len(rows) == 57 and len(points) > 2 * len(rows)
+    for index in FAMILY_INDICES:
+        den, nums = _int_family(index)
+        ref_den, ref_nums = _family(index)
+        for pt in points:
+            got = _parameter_candidates(den, nums, pt)
+            assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
+
+
+def test_gcd_certificate_helper():
+    # coefficient lists, constant term first
+    f = [2, 3, 1]  # (t + 1)(t + 2)
+    for p in (CERT_PRIME, 2305843009213693951):
+        assert gcd_is_constant_mod([f, [3, 1]], p) is True
+        assert gcd_is_constant_mod([f, [5, 6, 1]], p) is False  # (t+1)(t+5)
+        assert gcd_is_constant_mod([f, [6, 5, 1], [3, 4, 1]], p) is True
+        assert gcd_is_constant_mod([[7]], p) is True
+    # 7 divides the leading coefficient of the first polynomial only
+    assert gcd_is_constant_mod([[1, 0, 7], [1, 1]], 7) is None
+    assert gcd_is_constant_mod([[1, 1], [1, 0, 7]], 7) is True
+    # a common factor modulo p alone: t + 1 and t + 8 agree mod 7
+    assert gcd_is_constant_mod([[1, 1], [8, 1]], 7) is False

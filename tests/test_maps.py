@@ -23,6 +23,7 @@ from buchi4.maps import (
     normalize_point,
     on_surface,
     pell,
+    phi_map,
     pell_point,
     verify_group_relations,
     zeta_orbit,
@@ -117,6 +118,38 @@ def test_phi_undefined_on_the_degenerate_locus():
     # b = c forces the denominator (b-c)^2 (a-2b+c) to zero
     with pytest.raises(DenominatorVanishes):
         apply_phi((1, 0, 0, 1))
+    with pytest.raises(DenominatorVanishes):
+        apply_phi((Fraction(1, 2), Fraction(2, 3), Fraction(2, 3), Fraction(-5, 7)))
+
+
+def _phi_by_evaluate(pt):
+    """phi by MPoly4.evaluate and one division per coordinate, the path
+    symbolic points still take."""
+    pm = phi_map()
+    den = Fraction(pm.q.evaluate(pt))
+    if den == 0:
+        raise DenominatorVanishes
+    return tuple(Fraction(p.evaluate(pt)) / den for p in pm.p)
+
+
+def test_phi_integer_path_matches_polynomial_evaluation():
+    outer = group_elements()[::3]
+    checked = 0
+    for i, t in ((1, 2), (3, Fraction(1, 3)), (7, 3), (8, 1), (9, Fraction(-5, 2))):
+        w = r_value(i, t)
+        for _ in range(4):  # zeta^k(r(i, t)) for k = 0..3
+            for g in outer:
+                pt = g(w)
+                try:
+                    want = _phi_by_evaluate(pt)
+                except DenominatorVanishes:
+                    with pytest.raises(DenominatorVanishes):
+                        apply_phi(pt)
+                    continue
+                assert apply_phi(pt) == want
+                checked += 1
+            w = apply_zeta(w)
+    assert checked > 100
 
 
 @given(points)
