@@ -30,11 +30,13 @@ from .families import (
 from .maps import verify_group_relations
 from .polytext import format_upoly
 from .search import (
-    CSV_HEADER,
+    SearchRecord,
     bundled_table,
     compare_with_table,
     enumerate_sequences,
     plot_data,
+    records_csv,
+    records_json,
     run_pipeline,
 )
 
@@ -59,53 +61,25 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    seqs = enumerate_sequences(args.x2_max)
-    rows = []
-    for seq in seqs:
-        cls = classify(seq) if args.classify else None
-        left = extends_left(seq) if args.extend else None
-        right = extends_right(seq) if args.extend else None
-        rows.append((seq, cls, left, right))
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "x1": seq[0],
-                        "x2": seq[1],
-                        "x3": seq[2],
-                        "x4": seq[3],
-                        "classification": None if cls is None else cls.to_json(),
-                        "extends_left": left,
-                        "extends_right": right,
-                    }
-                    for seq, cls, left, right in rows
-                ],
-                indent=2,
-            )
+    records = [
+        SearchRecord(
+            seq=seq,
+            classification=classify(seq) if args.classify else None,
+            extends_left=extends_left(seq) if args.extend else None,
+            extends_right=extends_right(seq) if args.extend else None,
         )
+        for seq in enumerate_sequences(args.x2_max)
+    ]
+    if args.format == "json":
+        print(json.dumps(records_json(records), indent=2))
     else:
-        print(CSV_HEADER)
-        for seq, cls, left, right in rows:
-            print(
-                ",".join(
-                    [
-                        *map(str, seq),
-                        "" if cls is None else cls.serialize(),
-                        "" if left is None else str(left),
-                        "" if right is None else str(right),
-                    ]
-                )
-            )
+        for line in records_csv(records):
+            print(line)
     return 0
 
 
-def _parse_seq(values: List[int]):
-    return tuple(values)
-
-
 def _cmd_classify(args) -> int:
-    print(classify(_parse_seq(args.values)).describe())
+    print(classify(tuple(args.values)).describe())
     return 0
 
 
@@ -114,7 +88,7 @@ def _fmt_point(pt) -> str:
 
 
 def _cmd_descend(args) -> int:
-    seq = _parse_seq(args.values)
+    seq = tuple(args.values)
     for pt in descent_chain(seq):
         print(_fmt_point(pt))
     print("verdict:", classify(seq).describe())

@@ -22,12 +22,11 @@ before it is returned.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb, gcd, lcm
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square, format_rational, parse_rational
@@ -50,6 +49,7 @@ from .poly import (
     T,
     UPoly,
     gcd_is_constant_mod,
+    horner,
     int_poly_gcd,
     upoly_gcd,
 )
@@ -99,7 +99,6 @@ _XI0 = (T + 1, T + 2, T + 3, T + 4)
 # -- xi by recurrence ---------------------------------------------------------
 
 _xi_rows: list[Tuple[UPoly, UPoly, UPoly, UPoly]] = []
-_xi_lock = threading.Lock()
 
 
 def _xi_seed() -> Tuple[UPoly, UPoly, UPoly, UPoly]:
@@ -116,17 +115,22 @@ def xi_poly(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
     """The four components of xi(n, t), memoized; degrees 2n+1."""
     if n < 0:
         raise ValueError("negative index")
-    with _xi_lock:
-        if not _xi_rows:
-            _xi_rows.append(_XI0)
-            _xi_rows.append(_xi_seed())
-        while len(_xi_rows) <= n:
-            nxt = tuple(
-                F_POLY * b - a
-                for a, b in zip(_xi_rows[-2], _xi_rows[-1])
-            )
-            _xi_rows.append(nxt)
-        return _xi_rows[n]
+    if not _xi_rows:
+        _xi_rows.append(_XI0)
+        _xi_rows.append(_xi_seed())
+    while len(_xi_rows) <= n:
+        nxt = tuple(
+            F_POLY * b - a
+            for a, b in zip(_xi_rows[-2], _xi_rows[-1])
+        )
+        _xi_rows.append(nxt)
+    return _xi_rows[n]
+
+
+@lru_cache(maxsize=1)
+def _xi1_ints() -> Tuple[Tuple[int, ...], ...]:
+    """xi(1, t) as integer coefficient lists, for evaluation."""
+    return tuple(tuple(p.int_coeffs()) for p in xi_poly(1))
 
 
 def xi_eval(n: int, t) -> Tuple:
@@ -139,18 +143,10 @@ def xi_eval(n: int, t) -> Tuple:
     if n == 0:
         return cur
     ft = 2 * t * t + 10 * t + 10
-    nxt = tuple(_int_eval(p, t) for p in xi_poly(1))
+    nxt = tuple(horner(cs, t) for cs in _xi1_ints())
     for _ in range(n - 1):
         cur, nxt = nxt, tuple(ft * b - a for a, b in zip(cur, nxt))
     return nxt
-
-
-def _int_eval(p: UPoly, t):
-    """Horner evaluation staying in int when both sides are integral."""
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * t + (c.numerator if c.denominator == 1 else c)
-    return acc
 
 
 # -- xi in closed form --------------------------------------------------------
@@ -328,8 +324,8 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 
 def p_value(t) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The quartic family at any rational argument, exactly."""
-    den, nums = p_family()
-    return tuple(Fraction(_int_eval(p, t), den) for p in nums)
+    (den,), nums = _int_family(0)
+    return tuple(Fraction(horner(cs, t), den) for cs in nums)
 
 
 def p_eval(t: int) -> Tuple[int, int, int, int]:
@@ -348,11 +344,13 @@ def r_family(i: int) -> Tuple[UPoly, Tuple[UPoly, ...]]:
 
 
 def r_value(i: int, t) -> Tuple[Fraction, ...]:
-    den, nums = r_family(i)
-    d = Fraction(_int_eval(den, t))
+    if i == 0:  # _int_family(0) is the quartic family
+        raise KeyError(f"rational family index must be 1..15, got {i}")
+    den, nums = _int_family(i)
+    d = horner(den, t)
     if d == 0:
         raise DenominatorVanishes(f"family {i} denominator vanishes at t = {t}")
-    return tuple(Fraction(_int_eval(p, t)) / d for p in nums)
+    return tuple(Fraction(horner(cs, t), d) for cs in nums)
 
 
 # The contract name: exact rational point of the i-th family.
@@ -522,26 +520,6 @@ def _exact_point(seq: Sequence) -> Tuple:
     return tuple(out)
 
 
-def _int_scaled(p: UPoly) -> list[int]:
-    """Integer coefficient list that is a positive multiple of p (signs of
-    all values preserved)."""
-    mult = 1
-    for c in p.coeffs:
-        mult = lcm(mult, c.denominator)
-    ints = [int(c * mult) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
-
-
-def _horner_int(ints: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
 def _sturm_chain(h: Sequence[int]) -> list[list[int]]:
     """Sturm chain of a squarefree integer polynomial, each member scaled
     to integer coefficients (positive scaling keeps all signs)."""
@@ -552,7 +530,11 @@ def _sturm_chain(h: Sequence[int]) -> list[list[int]]:
         if r.is_zero():
             break
         chain.append(-r)
-    return [_int_scaled(p) for p in chain if not p.is_zero()]
+    out = []
+    for p in chain:
+        ints, scale = p.primitive_int()
+        out.append(ints if scale > 0 else [-c for c in ints])
+    return out
 
 
 def _integer_roots_monic(h: list[int]) -> list[int]:
@@ -574,7 +556,7 @@ def _integer_roots_monic(h: list[int]) -> list[int]:
     def variations(u: int) -> int:
         signs = []
         for cs in chain2:
-            v = _horner_int(cs, u)
+            v = horner(cs, u)
             if v:
                 signs.append(v > 0)
         return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -589,7 +571,7 @@ def _integer_roots_monic(h: list[int]) -> list[int]:
             continue
         if b - a == 2:
             k = (a + 1) // 2
-            if _horner_int(h, k) == 0:
+            if horner(h, k) == 0:
                 roots.append(k)
             continue
         m = (a + b) // 2
@@ -622,9 +604,7 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
     f = UPoly(ints)
     g = upoly_gcd(f, f.derivative())
     if g.degree > 0:
-        ints = _int_scaled(f.exact_div(g))
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+        ints, _ = f.exact_div(g).primitive_int()
     lead = ints[-1]
     d = len(ints) - 1
     h = [c * lead ** (d - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
@@ -730,7 +710,7 @@ def _invert_r(pt: Tuple) -> Optional[Classification]:
     for i in range(1, 16):
         den, nums = _int_family(i)
         for t in _parameter_candidates(den, nums, pt):
-            if _horner_int(den, t) == 0:
+            if horner(den, t) == 0:
                 continue
             if r_value(i, t) == pt:
                 if t.denominator == 1:
@@ -997,7 +977,7 @@ def verify_families(deep: bool = False) -> RelationReport:
     entries.append((
         "thirds family numerators never 0 mod 3 together",
         all(
-            any(_int_eval(n, t) % 3 for n in tnums)
+            any(n(t) % 3 for n in tnums)
             for t in range(3)
         ),
     ))

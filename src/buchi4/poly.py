@@ -13,13 +13,14 @@ The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
 Its integer core also serves integer coefficient lists directly, and
 gcd_is_constant_mod is the modular certificate that lets callers skip the
-exact gcd when it would only prove a constant.
+exact gcd when it would only prove a constant.  horner evaluates any
+coefficient sequence, UPoly coefficients and plain integer lists alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "NonExactDivision",
     "T",
     "QUAD_MODULUS",
+    "horner",
     "upoly_gcd",
     "int_poly_gcd",
     "gcd_is_constant_mod",
@@ -194,10 +196,7 @@ class UPoly:
         """Horner evaluation; value may be a scalar, UPoly or QuadExt."""
         if not self.coeffs:
             return Fraction(0)
-        result = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            result = result * value + c
-        return result
+        return horner(self.coeffs, value)
 
     def monic(self) -> "UPoly":
         if self.is_zero():
@@ -212,17 +211,10 @@ class UPoly:
         """
         if self.is_zero():
             return [], Fraction(0)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        content = 0
-        for c in ints:
-            content = int_gcd(content, c)
-        if ints[-1] < 0:
-            content = -content
-        ints = [c // content for c in ints]
-        return ints, Fraction(content, den)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        prim = _primitive(ints)
+        return prim, Fraction(ints[-1] // prim[-1], den)
 
     def __repr__(self):
         from .polytext import format_upoly
@@ -239,6 +231,18 @@ def _coerce(x) -> UPoly:
 
 
 T = UPoly.variable()
+
+
+def horner(coeffs: Sequence, x):
+    """Horner evaluation of a coefficient sequence, lowest degree first, at
+    x; 0 when there are no coefficients.  Integer coefficients at an integer
+    x stay in int."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 # -- gcd ------------------------------------------------------------------

@@ -89,9 +89,7 @@ def _two_squares_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
 _ENGINES = {"window": _window_chunk, "two-squares": _two_squares_chunk}
 
 
-def enumerate_sequences(
-    x2_max: int, workers: int = 1, engine: str = "window"
-) -> List[Seq]:
+def enumerate_sequences(x2_max: int, engine: str = "window") -> List[Seq]:
     """All non-trivial strictly increasing positive quadruples with
     x2 <= x2_max, sorted by (x1, x2), duplicate-free."""
     if x2_max < 2:
@@ -99,40 +97,25 @@ def enumerate_sequences(
     chunk = _ENGINES.get(engine)
     if chunk is None:
         raise ValueError(f"unknown engine {engine!r}")
-    if workers <= 1:
-        found = chunk(2, x2_max)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        span = x2_max - 1
-        step = max(1, -(-span // workers))
-        bounds = [
-            (lo, min(lo + step - 1, x2_max))
-            for lo in range(2, x2_max + 1, step)
-        ]
-        found = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda b: chunk(*b), bounds):
-                found.extend(part)
-    return sorted(found)
+    return sorted(chunk(2, x2_max))
 
 
 @dataclass(frozen=True)
 class SearchRecord:
     """One search result: the sequence, where it came from, and the
-    nonnegative fifth values extending it on each side (None if none)."""
+    nonnegative fifth values extending it on each side (None if none).
+    The CLI leaves classification None when it is not asked to classify."""
 
     seq: Seq
-    classification: Classification
+    classification: Optional[Classification]
     extends_left: Optional[int]
     extends_right: Optional[int]
 
     def csv_row(self) -> str:
+        cls = "" if self.classification is None else self.classification.serialize()
         left = "" if self.extends_left is None else str(self.extends_left)
         right = "" if self.extends_right is None else str(self.extends_right)
-        return ",".join(
-            [*map(str, self.seq), self.classification.serialize(), left, right]
-        )
+        return ",".join([*map(str, self.seq), cls, left, right])
 
     def to_json(self) -> dict:
         return {
@@ -140,15 +123,15 @@ class SearchRecord:
             "x2": self.seq[1],
             "x3": self.seq[2],
             "x4": self.seq[3],
-            "classification": self.classification.to_json(),
+            "classification": None
+            if self.classification is None
+            else self.classification.to_json(),
             "extends_left": self.extends_left,
             "extends_right": self.extends_right,
         }
 
 
-def run_pipeline(
-    x2_max: int, workers: int = 1, engine: str = "window"
-) -> List[SearchRecord]:
+def run_pipeline(x2_max: int, engine: str = "window") -> List[SearchRecord]:
     """Enumerate, classify, and extension-test everything up to the bound."""
     return [
         SearchRecord(
@@ -157,7 +140,7 @@ def run_pipeline(
             extends_left=extends_left(seq),
             extends_right=extends_right(seq),
         )
-        for seq in enumerate_sequences(x2_max, workers=workers, engine=engine)
+        for seq in enumerate_sequences(x2_max, engine=engine)
     ]
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from buchi4.cli import build_parser, main
+from buchi4.search import records_csv, records_json, run_pipeline
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,6 +57,19 @@ def test_search_json_without_classification(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob[0]["x1"] == 6 and blob[0]["classification"] is None
+
+
+def test_search_output_is_the_library_records(capsys):
+    records = run_pipeline(700)
+    code, out, _ = run(capsys, "search", "--x2-max", "700", "--classify", "--extend")
+    assert code == 0
+    assert out.splitlines() == list(records_csv(records))
+    code, out, _ = run(
+        capsys, "search", "--x2-max", "700", "--classify", "--extend",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == records_json(records)
 
 
 def test_descend_prints_the_chain(capsys):

@@ -104,13 +104,6 @@ def test_scan_agrees_with_extension_tests():
                 assert hits.get(t) == extends(xi_eval(n, t), side)
 
 
-def test_scan_worker_invariance():
-    c = curve_rhs(1, "right")
-    assert scan_integer_points(c, -50, 50) == scan_integer_points(
-        c, -50, 50, workers=4
-    )
-
-
 def test_scan_csv_format():
     lines = list(scan_csv(curve_rhs(1, "right"), -4, -1))
     assert lines[0] == "t,y,trivial"

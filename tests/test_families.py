@@ -216,6 +216,10 @@ def test_r_families_evaluate_and_guard_poles():
         r_value(3, 0)  # denominator 8t vanishes
     with pytest.raises(KeyError):
         r_family(16)
+    with pytest.raises(KeyError):
+        r_value(0, 1)  # index 0 is not the quartic family
+    with pytest.raises(KeyError):
+        r_value(16, 1)
     assert r_eval(12, 1) == r_value(12, 1)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buchi4.poly import QUAD_MODULUS, QuadExt, RatFunc, T, UPoly, upoly_gcd
+from buchi4.poly import QUAD_MODULUS, QuadExt, RatFunc, T, UPoly, horner, upoly_gcd
 from buchi4.polytext import format_upoly, parse_upoly
 
 small_polys = st.lists(
@@ -78,6 +78,22 @@ def test_primitive_int():
     coeffs, scale = UPoly((Fraction(9, 6), Fraction(3, 6))).primitive_int()
     assert coeffs == [3, 1]
     assert scale == Fraction(1, 2)
+    # a negative leading coefficient goes into the scale
+    coeffs, scale = UPoly((Fraction(2, 3), Fraction(-4, 3))).primitive_int()
+    assert coeffs == [-1, 2]
+    assert scale == Fraction(-2, 3)
+
+
+def test_horner():
+    assert horner([], 5) == 0
+    v = horner([6, 19, 12, 2], 3)  # xi1(1, 3)
+    assert v == 225 and type(v) is int
+    assert horner((1, 1), Fraction(1, 2)) == Fraction(3, 2)
+    # UPoly evaluation keeps its types: a Fraction for the zero and the
+    # constant polynomials, a UPoly when composing
+    assert UPoly(())(T) == 0 and type(UPoly(())(T)) is Fraction
+    assert type(UPoly((3,))(T)) is Fraction
+    assert parse_upoly("t^2 + 1")(T + 1) == parse_upoly("t^2 + 2t + 2")
 
 
 def test_text_round_trip():

@@ -54,11 +54,9 @@ def test_enumeration_is_exhaustive_against_the_table():
             assert row in found
 
 
-def test_engines_and_workers_agree():
+def test_engines_agree():
     reference = enumerate_sequences(1500)
     assert enumerate_sequences(1500, engine="two-squares") == reference
-    assert enumerate_sequences(1500, workers=3) == reference
-    assert enumerate_sequences(1500, workers=3, engine="two-squares") == reference
 
 
 def test_bad_arguments():
