@@ -1,126 +1,48 @@
-"""Integer factorization helpers sized for the magnitudes the search meets.
+"""Sums of two squares over the Gaussian integers.
 
-Deterministic Miller-Rabin (valid far beyond 64 bits with the fixed base set),
-Brent-cycle Pollard rho, divisor enumeration, and representations of an
-integer as an ordered sum of two squares via Gaussian-integer factorization.
-Everything is exact and stdlib-only.
+The search needs the factorization of 2(x^2 + 1) for every x up to a
+bound.  `sieve_square_plus_one` gets all of them at once from the classical
+sieve of x^2 + 1, which also hands out a square root of -1 modulo every
+prime it finds, so no primality test and no general factoring is needed.
+`two_square_reps` decomposes a single integer by trial division.  Both feed
+one Gaussian-integer product that lists the representations.  Everything is
+exact and stdlib-only.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
-from random import Random
-
 __all__ = [
-    "is_probable_prime",
-    "factorize",
-    "divisors",
+    "gaussian_reps",
+    "sieve_square_plus_one",
     "sqrt_minus_one_mod",
     "two_square_reps",
 ]
 
-# Deterministic for every n below 3.3 * 10^24, which covers all inputs the
-# package produces by a wide margin.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+def sieve_square_plus_one(n_max: int) -> list[list[tuple[int, int, int]]]:
+    """For 0 <= x <= n_max, the odd prime factors of x^2 + 1 as (p, e, r):
+    p^e exactly divides x^2 + 1 and r is the least root of r^2 = -1 mod p.
+    The factor 2 is left out: it divides x^2 + 1 once for odd x, else not.
 
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+    rem[x] starts as x^2 + 1 with the 2 taken out.  Walking x upward, every
+    prime whose least root is below x has been divided out of rem[x] at
+    that root, and two primes with least root x would each exceed 2x, so
+    their product would exceed x^2 + 1.  Hence rem[x] is 1 or a prime p with
+    least root x, divided out in turn at x + kp and p - x + kp."""
+    rem = [x * x + 1 >> (x & 1) for x in range(n_max + 1)]
+    factors: list[list[tuple[int, int, int]]] = [[] for _ in range(n_max + 1)]
+    for x in range(1, n_max + 1):
+        p = rem[x]
+        if p == 1:
             continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int, rng: Random) -> int:
-    """One nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n == 1:
-        return out
-    rng = Random(0x5EED ^ n)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        r = isqrt(m)
-        if r * r == m:
-            stack.extend((r, r))
-            continue
-        d = _brent_rho(m, rng)
-        stack.extend((d, m // d))
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        pk = 1
-        extended = []
-        for _ in range(e):
-            pk *= p
-            extended.extend(d * pk for d in divs)
-        divs.extend(extended)
-    return sorted(divs)
+        for start in (x, p - x):
+            for y in range(start, n_max + 1, p):
+                q, e = rem[y] // p, 1
+                while q % p == 0:
+                    q, e = q // p, e + 1
+                rem[y] = q
+                factors[y].append((p, e, x))
+    return factors
 
 
 def sqrt_minus_one_mod(p: int) -> int:
@@ -154,35 +76,18 @@ def _gaussian_mul(z, w):
     return (a * c - b * d, a * d + b * c)
 
 
-def two_square_reps(n: int) -> list[tuple[int, int]]:
-    """All (r, s) with 0 <= r <= s and r^2 + s^2 = n, in ascending order.
-
-    Empty when some prime 3 mod 4 divides n to an odd power.
-    """
-    if n < 0:
-        return []
-    if n == 0:
-        return [(0, 0)]
-    fac = factorize(n)
-    real = 1
-    gauss_parts = []
-    two_exp = 0
-    for p, e in sorted(fac.items()):
-        if p == 2:
-            two_exp = e
-        elif p % 4 == 3:
-            if e & 1:
-                return []
-            real *= p ** (e // 2)
-        else:
-            x = sqrt_minus_one_mod(p)
-            pi = _gaussian_gcd((p, 0), (x, 1))
-            gauss_parts.append((pi, e))
+def gaussian_reps(
+    real: int, two_exp: int, split: list[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """All (r, s) with 0 <= r <= s and r^2 + s^2 = real^2 2^two_exp
+    prod p^e, in ascending order, where split lists (p, e, root) for
+    distinct primes p = 1 mod 4 and root^2 = -1 mod p."""
     base = (real, 0)
     for _ in range(two_exp):
         base = _gaussian_mul(base, (1, 1))
     reps = {base}
-    for pi, e in gauss_parts:
+    for p, e, root in split:
+        pi = _gaussian_gcd((p, 0), (root, 1))
         pibar = (pi[0], -pi[1])
         powers = []
         for j in range(e + 1):
@@ -195,3 +100,33 @@ def two_square_reps(n: int) -> list[tuple[int, int]]:
         reps = {_gaussian_mul(z, w) for z in reps for w in powers}
     out = {tuple(sorted((abs(a), abs(b)))) for a, b in reps}
     return sorted(out)
+
+
+def two_square_reps(n: int) -> list[tuple[int, int]]:
+    """All (r, s) with 0 <= r <= s and r^2 + s^2 = n, in ascending order.
+
+    Empty when some prime 3 mod 4 divides n to an odd power.
+    """
+    if n < 0:
+        return []
+    if n == 0:
+        return [(0, 0)]
+    two_exp = (n & -n).bit_length() - 1
+    n >>= two_exp
+    real = 1
+    split = []
+    p = 3
+    while n > 1:
+        if p * p > n:
+            p = n  # no factor up to sqrt(n) is left, so n is prime
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e and p % 4 == 3:
+            if e & 1:
+                return []
+            real *= p ** (e // 2)
+        elif e:
+            split.append((p, e, sqrt_minus_one_mod(p)))
+        p += 2
+    return gaussian_reps(real, two_exp, split)

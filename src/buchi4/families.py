@@ -918,10 +918,10 @@ def _buchi_symbolic(comps: Sequence) -> bool:
     )
 
 
-def verify_families(deep: bool = False) -> RelationReport:
+def verify_families() -> RelationReport:
     """Symbolic self-checks of everything this module loads or derives."""
     entries = []
-    n_hi = 6 if deep else 4
+    n_hi = 6
     entries.append((
         "xi rows satisfy both defining equations symbolically",
         all(_buchi_symbolic(xi_poly(n)) for n in range(n_hi + 1)),
@@ -942,16 +942,13 @@ def verify_families(deep: bool = False) -> RelationReport:
         all(symmetry_check(n) for n in range(n_hi + 1)),
     ))
     ok = True
-    for n in range((10 if deep else 5) + 1):
+    for n in range(11):
         try:
             negative_t_forms(n)
         except ArithmeticError:
             ok = False
     entries.append(("negative arguments give the four trivial towers", ok))
-    entries.append((
-        "growth inequalities",
-        growth_check(4, 4).ok if not deep else growth_check(10, 10).ok,
-    ))
+    entries.append(("growth inequalities", growth_check(10, 10).ok))
     den, nums = p_family()
     quartic = tuple(RatFunc(n, UPoly((den,))) for n in nums)
     entries.append((

@@ -5,9 +5,10 @@ A strictly increasing positive quadruple on the surface is pinned down by
 x4^2 = 2 x3^2 - x2^2 + 2, so enumeration walks x3 over the window
 (x2, isqrt(2 x2^2 + 1)] and keeps the pairs where both radicands are
 perfect squares.  The default engine prunes the window by the residues a
-square can take modulo 64 before doing any exact work; an alternative
-engine decomposes 2(x2^2 + 1) into two squares by factoring instead.
-Both produce identical sorted output.
+square can take modulo 64 before doing any exact work; the two-squares
+engine instead writes 2(x2^2 + 1) = x1^2 + x3^2 in every way, from one
+sieve of x^2 + 1 that factors all x2 up to the bound at once.  Both
+produce identical sorted output.
 
 Search results are classified, tested for extension on both sides, and
 compared against the bundled table of 121 reference rows.
@@ -21,7 +22,7 @@ from math import isqrt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square
-from .factorint import two_square_reps
+from .factorint import gaussian_reps, sieve_square_plus_one
 from .families import Classification, classify, extends_left, extends_right, is_trivial
 from .maps import on_surface
 
@@ -72,9 +73,11 @@ def _window_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
 
 def _two_squares_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
     out = []
+    factors = sieve_square_plus_one(x2_hi)
     for x2 in range(x2_lo, x2_hi + 1):
         x2_sq = x2 * x2
-        for x1, x3 in two_square_reps(2 * x2_sq + 2):
+        # 2 (x2^2 + 1), with one more 2 when x2 is odd
+        for x1, x3 in gaussian_reps(1, 1 + (x2 & 1), factors[x2]):
             if not (0 < x1 < x2 < x3):
                 continue
             x4 = as_perfect_square(2 * x3 * x3 - x2_sq + 2)

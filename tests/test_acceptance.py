@@ -2,7 +2,8 @@
 
 One test per acceptance criterion, in order; run with -v to get a
 pass/fail line per criterion.  The slow desk-scale search (criterion 8)
-runs once and is shared.
+runs once and is shared, also by the check that the two search engines
+agree at that bound.
 """
 
 import random
@@ -36,7 +37,12 @@ from buchi4.maps import (
     zeta_orbit,
 )
 from buchi4.poly import UPoly
-from buchi4.search import bundled_table, compare_with_table, run_pipeline
+from buchi4.search import (
+    bundled_table,
+    compare_with_table,
+    enumerate_sequences,
+    run_pipeline,
+)
 
 from test_families import XI1, XI2, XI3
 
@@ -146,6 +152,11 @@ def test_criterion_08_desk_scale_table_reproduction(desk_pipeline):
     assert by_seq[row41].classification.serialize() == "xi:4:0"
     assert comparison.misses == (row41,), str(comparison)
     assert set(comparison.matches) == reference - {row41}
+
+
+def test_engines_agree_at_the_desk_bound(desk_pipeline):
+    rows = enumerate_sequences(30000, engine="two-squares")
+    assert rows == [r.seq for r in desk_pipeline]
 
 
 def test_criterion_09_full_table_extension_check():

@@ -1,5 +1,6 @@
 """The argparse front end: output shapes and exit codes."""
 
+import doctest
 import json
 import shlex
 from pathlib import Path
@@ -130,6 +131,18 @@ def test_usage_errors_exit_nonzero(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_readme_library_examples():
+    # the `>>>` examples in the README run as a doctest
+    result = doctest.testfile(
+        str(README),
+        module_relative=False,
+        optionflags=doctest.NORMALIZE_WHITESPACE,
+        verbose=False,
+    )
+    assert result.attempted >= 7
+    assert result.failed == 0
 
 
 def test_readme_command_lines_parse():
