@@ -322,10 +322,17 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
     return p_family("thirds")
 
 
+def _family_value(index: int, t) -> Tuple[Fraction, ...]:
+    den, nums = _int_family(index)
+    d = horner(den, t)
+    if d == 0:
+        raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
+    return tuple(Fraction(horner(cs, t), d) for cs in nums)
+
+
 def p_value(t) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """The quartic family at any rational argument, exactly."""
-    (den,), nums = _int_family(0)
-    return tuple(Fraction(horner(cs, t), den) for cs in nums)
+    return _family_value(0, t)
 
 
 def p_eval(t: int) -> Tuple[int, int, int, int]:
@@ -346,11 +353,7 @@ def r_family(i: int) -> Tuple[UPoly, Tuple[UPoly, ...]]:
 def r_value(i: int, t) -> Tuple[Fraction, ...]:
     if i == 0:  # _int_family(0) is the quartic family
         raise KeyError(f"rational family index must be 1..15, got {i}")
-    den, nums = _int_family(i)
-    d = horner(den, t)
-    if d == 0:
-        raise DenominatorVanishes(f"family {i} denominator vanishes at t = {t}")
-    return tuple(Fraction(horner(cs, t), d) for cs in nums)
+    return _family_value(i, t)
 
 
 # The contract name: exact rational point of the i-th family.
@@ -369,9 +372,7 @@ def trivial_parameter(seq: Sequence) -> Optional[Fraction]:
     s1 = seq[0]
     for x in (s1 - 1, -s1 - 1):
         if all(s * s == (x + i) * (x + i) for i, s in enumerate(seq, start=1)):
-            if isinstance(x, Fraction) and x.denominator == 1:
-                return x.numerator
-            return x
+            return _as_int_if_whole(x)
     return None
 
 
@@ -412,7 +413,7 @@ def _json_number(v):
     return v
 
 
-def _as_int_if_whole(v: Fraction):
+def _as_int_if_whole(v):
     return v.numerator if v.denominator == 1 else v
 
 
@@ -421,11 +422,12 @@ class Classification:
     """Where a point came from.
 
     kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'.  A 'lift'
-    wraps a base verdict plus the number of descent steps that separated the
-    point from it; each step inverts the degree-growing map up to trivial
-    involutions.  witness carries the exact descent data ((g, eta) per step
-    plus the base point) so the verdict can be replayed forward; it is
-    deliberately excluded from the serialized forms.
+    wraps a base verdict b plus a count k >= 1: the point is eta(zeta^k(w))
+    for a trivial involution eta and a point w whose increasing positive
+    form is b (or w is trivial).  witness carries the exact descent data
+    (the outer involution, k, the inner involution and the base point) so
+    the verdict can be replayed forward; it is deliberately excluded from
+    the serialized forms.
     """
 
     kind: str
@@ -696,26 +698,16 @@ def _parameter_candidates(den, nums, w) -> list[Fraction]:
     return _rational_roots(UPoly(g))
 
 
-def _invert_p(pt: Tuple) -> Optional[Classification]:
-    den, nums = _int_family(0)
-    for t in _parameter_candidates(den, nums, pt):
-        if p_value(t) == pt:
-            if t.denominator == 1:
-                t = t.numerator
-            return Classification("p", t=t)
-    return None
-
-
-def _invert_r(pt: Tuple) -> Optional[Classification]:
-    for i in range(1, 16):
+def _invert_family(pt: Tuple) -> Optional[Classification]:
+    """Membership in the quartic family (index 0), then in r1..r15."""
+    for i in range(16):
         den, nums = _int_family(i)
         for t in _parameter_candidates(den, nums, pt):
-            if horner(den, t) == 0:
-                continue
-            if r_value(i, t) == pt:
-                if t.denominator == 1:
-                    t = t.numerator
-                return Classification("r", index=i, t=t)
+            if horner(den, t) and _family_value(i, t) == pt:
+                t = _as_int_if_whole(t)
+                if i:
+                    return Classification("r", index=i, t=t)
+                return Classification("p", t=t)
     return None
 
 
@@ -725,14 +717,8 @@ def _match_family(pt: Tuple) -> Optional[Classification]:
     families are solved over the rationals (their parameters need not be
     integers along descent chains)."""
     ip = as_int_point(pt)
-    if ip is not None:
-        hit = _invert_xi(ip)
-        if hit is not None:
-            return hit
-    hit = _invert_p(pt)
-    if hit is not None:
-        return hit
-    return _invert_r(pt)
+    hit = _invert_xi(ip) if ip is not None else None
+    return hit or _invert_family(pt)
 
 
 def _height(pt: Tuple) -> Fraction:
@@ -753,17 +739,17 @@ def _chain_representatives() -> Tuple[TrivialInvolution, ...]:
     reps = []
     seen = set()
     for eta in group_elements():
-        key = (eta.signs, eta.rev)
-        if key in seen:
-            continue
-        seen.update((c.compose(eta).signs, c.compose(eta).rev) for c in central)
-        reps.append(eta)
+        if eta not in seen:
+            seen.update(c.compose(eta) for c in central)
+            reps.append(eta)
     return tuple(reps)
 
 
 def _base_of(w: Tuple) -> Optional[Tuple[TrivialInvolution, Classification]]:
-    """(inner involution, base verdict) if w is a family or trivial point up
-    to sign/order; the involution maps w onto the matched representative."""
+    """(inner involution, base verdict) if w is a trivial point, or if the
+    strictly increasing positive form of w is a family point; the involution
+    maps w onto that form.  Only the normalized form is matched, so a family
+    value that is not itself increasing and positive is never a base."""
     x = trivial_parameter(w)
     if x is not None:
         return IDENTITY, Classification("trivial", x=x)
@@ -771,59 +757,62 @@ def _base_of(w: Tuple) -> Optional[Tuple[TrivialInvolution, Classification]]:
     if norm is None:
         return None
     inner, wn = norm
-    hit = _match_family(_exact_point(wn))
+    hit = _match_family(wn)
     if hit is None:
         return None
     return inner, hit
 
 
 def _descend(pt: Tuple) -> Optional[Classification]:
-    """Search for a tower x = eta(zeta^k(w)) over a family or trivial point.
+    """Search for a tower eta(pt) = zeta^k(w), k >= 1, over a family or
+    trivial point w.
 
     The map is deterministic once the outer involution is fixed, so the
-    search is a bundle of straight chains, not a tree: for each involution
-    eta and each direction, repeatedly peel one map application off eta(x)
-    while the height strictly decreases, testing the base families at every
-    chain node.  Towers sit inside orbits on which the map is expansive, so
-    their peeled heights do decrease monotonically.  Any hit is replayed
-    forward exactly before it is accepted.
+    search is a bundle of straight chains, not a tree: for each coset
+    representative eta, repeatedly peel one inverse map application off
+    eta(pt) while the height strictly decreases, testing the base families
+    at every chain node.  Towers sit inside orbits on which the map is
+    expansive, so their peeled heights do decrease monotonically.
+
+    One direction suffices.  The twist Z of zeta = phi Z is an involution
+    that commutes with -1 and tau, so zeta^-1 = Z zeta Z, and the forward
+    chain from eta is Z applied to the inverse chain from the representative
+    of Z eta: same heights, same normal forms, same bases.  Any hit is
+    replayed forward exactly before it is accepted.
     """
     for eta in _chain_representatives():
-        start = eta(pt)
-        for sign, step in ((1, apply_zeta_inv), (-1, apply_zeta)):
-            w = start
-            h = _height(pt)
-            for k in range(1, _MAX_CHAIN + 1):
-                try:
-                    w = _exact_point(step(w))
-                except ZeroDivisionError:
-                    break
-                found = _base_of(w)
-                if found is not None:
-                    inner, base = found
-                    cls = Classification(
-                        "lift",
-                        base=base,
-                        lifts=sign * k,
-                        witness=(eta, sign, k, inner, _exact_point(inner(w))),
-                    )
-                    if _tower_replays(pt, cls):
-                        return cls
-                hw = _height(w)
-                if hw >= h:
-                    break
-                h = hw
+        w = eta(pt)
+        h = _height(pt)
+        for k in range(1, _MAX_CHAIN + 1):
+            try:
+                w = _exact_point(apply_zeta_inv(w))
+            except ZeroDivisionError:
+                break
+            found = _base_of(w)
+            if found is not None:
+                inner, base = found
+                cls = Classification(
+                    "lift",
+                    base=base,
+                    lifts=k,
+                    witness=(eta, k, inner, _exact_point(inner(w))),
+                )
+                if _tower_replays(pt, cls):
+                    return cls
+            hw = _height(w)
+            if hw >= h:
+                break
+            h = hw
     return None
 
 
 def _tower_replays(pt: Tuple, cls: Classification) -> bool:
     """Forward-evaluate a lift witness back up to the original point."""
-    eta, sign, k, inner, base_value = cls.witness
-    lift = apply_zeta if sign > 0 else apply_zeta_inv
+    eta, k, inner, base_value = cls.witness
     x = inner.inverse()(base_value)
     try:
         for _ in range(k):
-            x = lift(x)
+            x = apply_zeta(x)
     except ZeroDivisionError:
         return False
     return _exact_point(eta.inverse()(x)) == pt
@@ -837,7 +826,7 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     every point visited (the input's normalized form first).  The chain
     stops at a trivial point, at a vanishing denominator, or when the
     height stops dropping; classify() chases the sign/order variants of
-    this chain in both directions, this is the one-line diagnostic view.
+    this chain, this is the one-line diagnostic view.
     """
     pt = _exact_point(seq)
     if not on_surface(pt):

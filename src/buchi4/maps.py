@@ -25,7 +25,7 @@ from math import lcm
 from typing import Tuple
 
 from .mpoly import MPoly4
-from .poly import RatFunc, UPoly
+from .poly import RatFunc
 
 __all__ = [
     "DenominatorVanishes",
@@ -164,20 +164,12 @@ def on_surface(pt: Point) -> bool:
     )
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, UPoly):
-        return v.is_zero()
-    if isinstance(v, RatFunc):
-        return v.num.is_zero()
-    return v == 0
-
-
 _PHI_UNDEFINED = "the involution is undefined where (b - c)^2 (a - 2b + c) vanishes"
 
 
 @lru_cache(maxsize=1)
 def _phi_table():
-    """p1..p4 and q as one integer evaluation table, built on first use:
+    """p1..p4 and q as one evaluation table, built on first use:
     every monomial as its four exponents plus its co-degree h - deg, where
     h is the largest total degree among the five; per polynomial its
     (coefficient, monomial index) pairs; and the largest exponent."""
@@ -190,41 +182,33 @@ def _phi_table():
     return monos, terms, max(max(m) for m in monos)
 
 
-def _powers(x: int, top: int) -> list[int]:
+def _powers(x, top: int) -> list:
     out = [1]
     for _ in range(top):
         out.append(out[-1] * x)
     return out
 
 
-def _apply_phi_rational(pt: Point) -> Point:
-    """phi at an int/Fraction point over the integers.  With L the lcm of
-    the denominators and (A, B, C, D) = L * pt, each polynomial homogenized
-    to degree h gives L^h p_i(pt) and L^h q(pt) as integers, whose ratio is
-    the exact coordinate."""
+def apply_phi(pt: Point) -> Point:
+    """Image of a numeric or symbolic point, exactly, from one homogenized
+    monomial table.  At an int/Fraction point, with L the lcm of the
+    denominators and (A, B, C, D) = L * pt, each polynomial homogenized to
+    degree h gives L^h p_i(pt) and L^h q(pt) as integers, whose ratio is the
+    exact coordinate.  Polynomial and rational-function coordinates take
+    L = 1 and a RatFunc quotient."""
     monos, terms, top = _phi_table()
-    ell = lcm(*(x.denominator for x in pt))
-    ints = [x.numerator * (ell // x.denominator) for x in pt]
-    pa, pb, pc, pd, pl = (_powers(v, top) for v in (*ints, ell))
+    numeric = all(isinstance(x, (int, Fraction)) for x in pt)
+    ell = lcm(*(x.denominator for x in pt)) if numeric else 1
+    if numeric:
+        pt = [x.numerator * (ell // x.denominator) for x in pt]
+    pa, pb, pc, pd, pl = (_powers(v, top) for v in (*pt, ell))
     vals = [pa[a] * pb[b] * pc[c] * pd[d] * pl[e] for a, b, c, d, e in monos]
     *nums, den = (sum(c * vals[j] for c, j in f) for f in terms)
     if den == 0:
         raise DenominatorVanishes(_PHI_UNDEFINED)
-    return tuple(Fraction(n, den) for n in nums)
-
-
-def apply_phi(pt: Point) -> Point:
-    """Image of a numeric or symbolic point; exact in both cases.  Integer
-    and rational points take the integer path; polynomial and rational
-    function coordinates are evaluated in their own ring."""
-    if all(isinstance(x, (int, Fraction)) for x in pt):
-        return _apply_phi_rational(pt)
-    pm = phi_map()
-    den = pm.q.evaluate(pt)
-    if _is_zero(den):
-        raise DenominatorVanishes(_PHI_UNDEFINED)
-    den = RatFunc.of(den)
-    return tuple(RatFunc.of(p.evaluate(pt)) / den for p in pm.p)
+    if numeric:
+        return tuple(Fraction(n, den) for n in nums)
+    return tuple(RatFunc.of(n) / den for n in nums)
 
 
 def apply_zeta(pt: Point) -> Point:
@@ -443,6 +427,13 @@ def verify_group_relations() -> RelationReport:
     entries.append((
         "reversal commutes with the degree-growing composite",
         TAU.compose(ZETA_TWIST).compose(TAU) == ZETA_TWIST,
+    ))
+    # so zeta^-1 = Z zeta Z, and classify() descends in one direction only
+    z = ZETA_TWIST
+    entries.append((
+        "the twist is an involution commuting with -1 and reversal",
+        z.compose(z).is_identity()
+        and all(z.compose(g) == g.compose(z) for g in (mu(1, 2, 3, 4), TAU)),
     ))
     sample = [(1, 2, 3, 4), (6, 23, 32, 39), (59, 630, 889, 1088)]
     entries.append((

@@ -145,19 +145,45 @@ def test_readme_library_examples():
     assert result.failed == 0
 
 
-def test_readme_command_lines_parse():
-    # every `$ buchi4 ...` example in the README is accepted by the parser;
-    # nothing is executed
-    lines = [
-        line.strip()[2:]
-        for line in README.read_text().splitlines()
-        if line.strip().startswith("$ buchi4 ")
-    ]
-    assert len(lines) >= 10
+def _readme_examples():
+    """(command line, shown output lines) for every `$ buchi4 ...` line of
+    the README; the output is the lines that follow it up to a blank line,
+    the next `$` line or the end of the code block."""
+    examples = []
+    shown = None
+    for line in README.read_text().splitlines():
+        if line.strip().startswith("$ buchi4 "):
+            shown = []
+            examples.append((line.strip()[2:], shown))
+        elif shown is not None and line.strip() and not line.startswith("```"):
+            shown.append(line)
+        else:
+            shown = None
+    return examples
+
+
+def test_readme_command_lines_parse(capsys):
+    # every `$ buchi4 ...` example in the README is accepted by the parser,
+    # and every one whose output the README shows prints that output; a
+    # `...` line ends the comparison
+    examples = _readme_examples()
+    assert len(examples) >= 10
     parser = build_parser()
-    for line in lines:
+    shown = 0
+    for line, want in examples:
         argv = shlex.split(line, comments=True)[1:]
         try:
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command line rejected: {line}")
+        if not want:
+            continue
+        shown += 1
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, line
+        got = out.splitlines()
+        if want[-1] == "...":
+            want = want[:-1]
+            got = got[: len(want)]
+        assert got == want, line
+    assert shown == 9

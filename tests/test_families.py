@@ -282,11 +282,11 @@ def test_classify_anchors():
     assert classify((83, 516, 725, 886)).describe() == "Sporadic"
 
 
-def _lift_of(base_point, k):
+def _lift_of(base_point, k, step=apply_zeta):
     # classification handles rational points; most towers never hit integers
     w = base_point
     for _ in range(k):
-        w = apply_zeta(w)
+        w = step(w)
     _, norm = normalize_point(w)
     return tuple(Fraction(v) for v in norm)
 
@@ -300,6 +300,21 @@ def test_classify_finds_lift_towers():
     cls2 = classify(lifted2)
     assert cls2.serialize() == "zeta^2(r:3:7)"
     assert verify_classification(lifted2, cls2)
+
+
+def test_inverse_images_classify_as_positive_lifts():
+    # zeta^-1(b) = Z(zeta(Z(b))) for the twist Z, and Z(b) normalizes to b,
+    # so an inverse image is a one-step tower over the same base
+    for base, name in (
+        (r_value(1, 2), "r:1:2"),
+        (r_value(3, 7), "r:3:7"),
+        (r_value(4, 6), "r:4:6"),
+        (p_value(1), "p:1"),
+    ):
+        pt = _lift_of(base, 1, step=apply_zeta_inv)
+        cls = classify(pt)
+        assert cls.serialize() == f"zeta^1({name})"
+        assert verify_classification(pt, cls)
 
 
 def test_classify_is_sound_on_every_kind():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buchi4.families import r_value, xi_eval
+from buchi4.families import r_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
     IDENTITY,
     TAU,
@@ -28,6 +28,7 @@ from buchi4.maps import (
     verify_group_relations,
     zeta_orbit,
 )
+from buchi4.poly import RatFunc
 
 ORBIT = [
     (1, 2, 3, 4),
@@ -123,13 +124,16 @@ def test_phi_undefined_on_the_degenerate_locus():
 
 
 def _phi_by_evaluate(pt):
-    """phi by MPoly4.evaluate and one division per coordinate, the path
-    symbolic points still take."""
+    """phi by MPoly4.evaluate and one division per coordinate, in Fraction
+    at numbers and in RatFunc at symbolic points: the reference for the
+    monomial table apply_phi evaluates."""
     pm = phi_map()
-    den = Fraction(pm.q.evaluate(pt))
+    numeric = all(isinstance(x, (int, Fraction)) for x in pt)
+    ring = Fraction if numeric else RatFunc.of
+    den = ring(pm.q.evaluate(pt))
     if den == 0:
         raise DenominatorVanishes
-    return tuple(Fraction(p.evaluate(pt)) / den for p in pm.p)
+    return tuple(ring(p.evaluate(pt)) / den for p in pm.p)
 
 
 def test_phi_integer_path_matches_polynomial_evaluation():
@@ -150,6 +154,17 @@ def test_phi_integer_path_matches_polynomial_evaluation():
                 checked += 1
             w = apply_zeta(w)
     assert checked > 100
+
+
+def test_phi_matches_polynomial_evaluation_at_symbolic_points():
+    # rational-function coordinates (r(3)) and polynomial ones (Z(xi(n)))
+    den, nums = r_family(3)
+    symbolic = [tuple(RatFunc(n, den) for n in nums)]
+    symbolic += [ZETA_TWIST(xi_poly(n)) for n in range(3)]
+    for pt in symbolic:
+        got = apply_phi(pt)
+        assert all(isinstance(v, RatFunc) for v in got)
+        assert got == _phi_by_evaluate(pt)
 
 
 @given(points)
