@@ -31,7 +31,7 @@ for _r in range(64):
     _MASK64 |= 1 << (_r * _r % 64)
 
 _TABLE = bytearray(_MOD)
-for _r in range(_MOD):
+for _r in range(_MOD // 2 + 1):  # r^2 = (_MOD - r)^2, so half the roots suffice
     _TABLE[_r * _r % _MOD] = 1
 _TABLE = bytes(_TABLE)
 

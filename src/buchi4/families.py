@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square, format_rational, parse_rational
@@ -663,6 +664,104 @@ def _int_family(index: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...
     return tuple(den.int_coeffs()), tuple(tuple(n.int_coeffs()) for n in nums)
 
 
+# -- residue sieve over P^1(F_l) ----------------------------------------------
+
+# Small primes for the family sieve.  The surface has about l^2 points mod l
+# and a family's image about l, so each prime lets through roughly one
+# non-member in l per family.  Two primes send 37 of the 49,728 family tests
+# at x2 <= 30000 to the exact path, 15 of them members; a third would cost
+# more to build than it saves.
+_SIEVE_PRIMES = (37, 41)
+
+
+def _projective_key(vals: Sequence[int], ell: int) -> int:
+    """The residues of vals mod ell, scaled so that the first nonzero one is
+    1 and read as base-ell digits: one key per point of projective space
+    over F_ell.  The residues must not all vanish."""
+    res = [v % ell for v in vals]
+    inv = pow(next(filter(None, res)), -1, ell)
+    key = 0
+    for v in res:
+        key = key * ell + v * inv % ell
+    return key
+
+
+@lru_cache(maxsize=None)
+def _power_rows(ell: int, width: int) -> Tuple[Tuple[int, ...], ...]:
+    """The monomials a^k b^(width-1-k) mod ell, k < width, at every point
+    of P^1(F_ell): (t : 1) for t in F_ell, then (1 : 0)."""
+    rows = [tuple(pow(t, k, ell) for k in range(width)) for t in range(ell)]
+    rows.append((0,) * (width - 1) + (1,))
+    return tuple(rows)
+
+
+def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
+    """(image keys, loose) of the map P^1(F_ell) -> P^4(F_ell) given by
+    polys, five coefficient lists of one length D + 1, constant first, read
+    as forms of degree D in (a : b): the coefficient of t^k belongs to
+    a^k b^(D-k).  The points (t : 1) and the point at infinity (1 : 0) are
+    all mapped.  A point where all five forms vanish has no image; such a
+    common root makes the family loose at ell."""
+    keys = set()
+    loose = False
+    for row in _power_rows(ell, len(polys[0])):
+        vals = [sum(map(mul, cs, row)) % ell for cs in polys]
+        if any(vals):
+            keys.add(_projective_key(vals, ell))
+        else:
+            loose = True
+    return frozenset(keys), loose
+
+
+def _homogenized(index: int) -> Tuple[Tuple[int, ...], ...]:
+    """(n1, n2, n3, n4, den) of _int_family(index), padded with zeros to
+    one length: the five forms of one degree for _residue_image."""
+    den, nums = _int_family(index)
+    polys = (*nums, den)
+    width = max(map(len, polys))
+    return tuple(cs + (0,) * (width - len(cs)) for cs in polys)
+
+
+def _sieve_tables(families, primes) -> tuple:
+    """Per prime ell, (ell, image key -> mask, loose mask), where bit i of a
+    mask stands for families[i]."""
+    tables = []
+    for ell in primes:
+        masks: dict = {}
+        loose = 0
+        for i, polys in enumerate(families):
+            keys, is_loose = _residue_image(polys, ell)
+            for key in keys:
+                masks[key] = masks.get(key, 0) | 1 << i
+            if is_loose:
+                loose |= 1 << i
+        tables.append((ell, masks, loose))
+    return tuple(tables)
+
+
+@lru_cache(maxsize=1)
+def _family_sieve() -> tuple:
+    """Sieve tables of the quartic family (bit 0) and r1..r15, built on
+    the first membership test rather than at import."""
+    return _sieve_tables([_homogenized(i) for i in range(16)], _SIEVE_PRIMES)
+
+
+def _sieve_mask(pt: Tuple, tables) -> int:
+    """Bits of the families that the exact point pt may belong to: the
+    primitive integer point (L w1 : ... : L w4 : L), L the lcm of the
+    denominators, must reduce into the family's image at every prime,
+    unless the family is loose there."""
+    scale = lcm(*(x.denominator for x in pt))
+    prim = [x.numerator * (scale // x.denominator) for x in pt]
+    prim.append(scale)
+    mask = -1
+    for ell, masks, loose in tables:
+        mask &= masks.get(_projective_key(prim, ell), 0) | loose
+        if not mask:
+            break
+    return mask
+
+
 def _parameter_candidates(den, nums, w) -> list[Fraction]:
     """Rational t with nums(t)/den(t) equal to w as an ordered tuple, for
     integer coefficient lists den and nums, via the gcd of the integer
@@ -670,7 +769,12 @@ def _parameter_candidates(den, nums, w) -> list[Fraction]:
     exact equality of signed tuples: a family value whose involution image
     equals w does not count, matching the bundled table's convention.
 
-    A constant gcd modulo a prime that keeps the first constraint's degree
+    _invert_family calls this only for the families that the residue sieve
+    (_sieve_mask) leaves standing, so most non-members never get here; a
+    family value always survives its own family's sieve, because its
+    primitive form reduces into the family's image of P^1(F_ell) or the
+    family is loose at ell (the argument is in _invert_family).  A
+    constant gcd modulo a prime that keeps the first constraint's degree
     proves there is no candidate; otherwise the exact gcd decides.  It
     almost always has degree at most one, so the common case needs no root
     isolation at all."""
@@ -699,8 +803,23 @@ def _parameter_candidates(den, nums, w) -> list[Fraction]:
 
 
 def _invert_family(pt: Tuple) -> Optional[Classification]:
-    """Membership in the quartic family (index 0), then in r1..r15."""
+    """Membership in the quartic family (index 0), then in r1..r15.
+
+    A residue sieve rejects first, and only rejects: a family is solved
+    exactly (_parameter_candidates, then the _family_value check) unless,
+    for some ell in _SIEVE_PRIMES at which it is not loose, the primitive
+    form of (pt : 1) reduces mod ell outside the image of P^1(F_ell) under
+    the family's homogenized map F = (n1 : n2 : n3 : n4 : den).  This is
+    sound.  If pt = F(a/b) with gcd(a, b) = 1, the integer vector F(a, b) is
+    c times the primitive point for an integer c.  When ell does not divide
+    c, the primitive point reduces to the image of (a : b) mod ell.  When
+    ell divides c, (a : b) mod ell is a common root of all five forms, and
+    a family with such a root is loose at ell: that prime never rejects it.
+    """
+    mask = _sieve_mask(pt, _family_sieve())
     for i in range(16):
+        if not mask >> i & 1:
+            continue
         den, nums = _int_family(i)
         for t in _parameter_candidates(den, nums, pt):
             if horner(den, t) and _family_value(i, t) == pt:

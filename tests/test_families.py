@@ -2,16 +2,23 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buchi4.families import (
+    _SIEVE_PRIMES,
     Classification,
+    _family_sieve,
     _int_family,
+    _invert_family,
     _parameter_candidates,
     _rational_roots,
+    _residue_image,
+    _sieve_mask,
+    _sieve_tables,
     F_POLY,
     NonIntegral,
     classify,
@@ -46,7 +53,7 @@ from buchi4.maps import (
     normalize_point,
     on_surface,
 )
-from buchi4.poly import UPoly, gcd_is_constant_mod, upoly_gcd
+from buchi4.poly import UPoly, gcd_is_constant_mod, horner, upoly_gcd
 from buchi4.search import bundled_table
 
 # the three low rows, coefficients constant-first
@@ -473,6 +480,106 @@ def test_parameter_candidates_match_the_fraction_path_off_the_families():
         for pt in points:
             got = _parameter_candidates(den, nums, pt)
             assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
+
+
+# -- the residue sieve in front of the exact family match --------------------
+
+SIEVE_MODULUS = prod(_SIEVE_PRIMES)
+
+
+def _assert_sieve_keeps(index, t):
+    """A value of family index keeps its own bit in the sieve mask; poles
+    are skipped."""
+    try:
+        value = _family_value(index, t)
+    except DenominatorVanishes:
+        return
+    assert _sieve_mask(value, _family_sieve()) >> index & 1, (index, t)
+
+
+def test_sieve_keeps_every_family_value_in_its_own_bit():
+    den_roots = 0
+    for index in FAMILY_INDICES:
+        den, _ = _int_family(index)
+        for t in range(-40, 41):
+            _assert_sieve_keeps(index, t)
+        # a denominator divisible by every sieve prime: t reduces to (1 : 0)
+        for a in (-7, -1, 1, 2, 5, 11):
+            for b in (SIEVE_MODULUS, 3 * SIEVE_MODULUS, SIEVE_MODULUS**2):
+                _assert_sieve_keeps(index, Fraction(a, b))
+        # t congruent to a root of den mod ell: the last coordinate reduces to 0
+        for ell in _SIEVE_PRIMES:
+            for r in (r for r in range(ell) if horner(den, r) % ell == 0):
+                den_roots += 1
+                for b in (1, 2, 3, ell + 1):
+                    for k in (-2, -1, 0, 1, 3):
+                        _assert_sieve_keeps(index, Fraction(r * b + k * ell, b))
+    assert den_roots  # the case above is not vacuous
+
+
+@given(
+    st.sampled_from(FAMILY_INDICES),
+    st.integers(-10**6, 10**6),
+    st.integers(1, 10**4),
+    st.sampled_from((1, *_SIEVE_PRIMES, SIEVE_MODULUS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_sieve_never_rejects_a_family_value(index, a, b, scale):
+    _assert_sieve_keeps(index, Fraction(a, b * scale))
+
+
+def _reference_invert_family(pt):
+    """The family match without the sieve: every family goes through the
+    exact path."""
+    for index in FAMILY_INDICES:
+        den, nums = _int_family(index)
+        for t in _parameter_candidates(den, nums, pt):
+            if horner(den, t) and _family_value(index, t) == pt:
+                t = t.numerator if t.denominator == 1 else t
+                if index:
+                    return Classification("r", index=index, t=t)
+                return Classification("p", t=t)
+    return None
+
+
+def test_sieved_family_match_equals_the_unfiltered_loop():
+    rows, points = _table_points_and_lifts()
+    nodes = [w for row in rows for w in descent_chain(row)]
+    values = []
+    for index in FAMILY_INDICES:
+        for t in (-2, 1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
+            try:
+                values.append(_family_value(index, t))
+            except DenominatorVanishes:
+                pass
+    hits = 0
+    for pt in points + nodes + values:
+        got = _invert_family(pt)
+        assert got == _reference_invert_family(pt), pt
+        hits += got is not None
+    assert hits >= len(values)
+
+
+def test_a_loose_family_is_never_rejected_at_its_prime():
+    ell = _SIEVE_PRIMES[0]
+    # (n1, n2, n3, n4, den) as forms of degree 2: every t^2 coefficient is
+    # divisible by ell, so all five vanish at (1 : 0) mod ell
+    polys = ((0, 1, ell), (3, 0, 2 * ell), (5, 1, 0), (7, 2, ell), (1, 0, ell))
+    keys, loose = _residue_image(polys, ell)
+    assert loose and keys
+    tables = _sieve_tables([polys], (ell,))
+    (_, masks, loose_mask), = tables
+    assert loose_mask == 1
+    strict = ((ell, masks, 0),)
+    escaped = 0
+    for a in range(-40, 41):
+        for b in (1, 2, ell, 3 * ell, ell * ell):
+            t = Fraction(a, b)
+            value = tuple(Fraction(horner(cs, t), horner(polys[4], t)) for cs in polys[:4])
+            assert _sieve_mask(value, tables) & 1, t
+            escaped += not _sieve_mask(value, strict)
+    # values whose parameter reduces to the common root leave the image
+    assert escaped
 
 
 def test_gcd_certificate_helper():
