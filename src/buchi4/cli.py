@@ -99,7 +99,11 @@ def _cmd_curve(args) -> int:
     spec = curve_rhs(args.n, args.side)
     print(spec.display())
     if args.squarefree:
-        print("squarefree:", "yes" if is_squarefree(spec) else "no")
+        squarefree = is_squarefree(spec)
+        print("squarefree:", "yes" if squarefree else "no")
+        if squarefree:
+            # y^2 = rhs(t), rhs squarefree of degree 4n + 2: hyperelliptic
+            print("genus:", 2 * spec.n)
     if args.scan is not None:
         t_min, t_max = args.scan
         for line in scan_csv(spec, t_min, t_max):

@@ -17,7 +17,10 @@ the lift detection: the inverse map is "apply the involution, then tidy signs
 and order", so the classifier walks all involution-adjacent images of the
 point whose height strictly drops, re-testing the base families at every
 level.  Every non-sporadic verdict is re-verified by exact forward evaluation
-before it is returned.
+before it is returned.  Descent runs on integers: each chain node is the
+primitive vector (A, B, C, D, L) of maps.to_vector, and Fractions appear only
+at the boundary: the input, the points descent_chain returns, a witness's
+base value and a family parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb, lcm
+from math import comb
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -38,11 +41,13 @@ from .maps import (
     RelationReport,
     TrivialInvolution,
     apply_zeta,
-    apply_zeta_inv,
-    as_int_point,
+    from_vector,
     group_elements,
     normalize_point,
-    on_surface,
+    to_vector,
+    vector_on_surface,
+    zeta_inv_vector,
+    zeta_vector,
 )
 from .poly import (
     QuadExt,
@@ -368,12 +373,29 @@ def trivial_parameter(seq: Sequence) -> Optional[Fraction]:
     """x with seq_i^2 = (x+i)^2 for i = 1..4, if one exists.
 
     Sign-insensitive, and exact over rationals as well as integers; integer
-    results come back as int.
+    results come back as int.  Unless |s2| - |s1| = +-1 or |s1| + |s2| = 1
+    the answer is None without any squaring (see _vector_trivial, which
+    this runs on to_vector(seq)).
     """
-    s1 = seq[0]
-    for x in (s1 - 1, -s1 - 1):
-        if all(s * s == (x + i) * (x + i) for i, s in enumerate(seq, start=1)):
-            return _as_int_if_whole(x)
+    return _vector_trivial(to_vector(seq))
+
+
+def _vector_trivial(v: Tuple[int, ...]) -> Optional[Fraction]:
+    """trivial_parameter of the point the primitive vector v stands for.
+
+    x + 1 = +-s1 forces |s2| = |s1 + 1| or |s1 - 1|, that is
+    |s2| - |s1| = +-1 or |s1| + |s2| = 1; on the vector, |B| - |A| = +-L or
+    |A| + |B| = L.  That rejects almost every non-trivial point before any
+    squaring.  Otherwise the candidates L x = +-A - L are checked exactly,
+    as (L x + i L)^2 = (L s_i)^2.
+    """
+    a, b, c, d, ell = v
+    ma, mb = abs(a), abs(b)
+    if mb - ma != ell and ma - mb != ell and ma + mb != ell:
+        return None
+    for x in (a - ell, -a - ell):
+        if all(s * s == (x + i * ell) ** 2 for i, s in enumerate((a, b, c, d), 1)):
+            return x // ell if x % ell == 0 else Fraction(x, ell)
     return None
 
 
@@ -713,9 +735,11 @@ def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
     return frozenset(keys), loose
 
 
+@lru_cache(maxsize=None)
 def _homogenized(index: int) -> Tuple[Tuple[int, ...], ...]:
     """(n1, n2, n3, n4, den) of _int_family(index), padded with zeros to
-    one length: the five forms of one degree for _residue_image."""
+    one length: the five forms of one degree for _residue_image and
+    _family_has."""
     den, nums = _int_family(index)
     polys = (*nums, den)
     width = max(map(len, polys))
@@ -746,28 +770,25 @@ def _family_sieve() -> tuple:
     return _sieve_tables([_homogenized(i) for i in range(16)], _SIEVE_PRIMES)
 
 
-def _sieve_mask(pt: Tuple, tables) -> int:
-    """Bits of the families that the exact point pt may belong to: the
-    primitive integer point (L w1 : ... : L w4 : L), L the lcm of the
-    denominators, must reduce into the family's image at every prime,
-    unless the family is loose there."""
-    scale = lcm(*(x.denominator for x in pt))
-    prim = [x.numerator * (scale // x.denominator) for x in pt]
-    prim.append(scale)
+def _sieve_mask(v: Tuple[int, ...], tables) -> int:
+    """Bits of the families that the point of the primitive vector v may
+    belong to: v = (L w1 : ... : L w4 : L) must reduce into the family's
+    image at every prime, unless the family is loose there."""
     mask = -1
     for ell, masks, loose in tables:
-        mask &= masks.get(_projective_key(prim, ell), 0) | loose
+        mask &= masks.get(_projective_key(v, ell), 0) | loose
         if not mask:
             break
     return mask
 
 
-def _parameter_candidates(den, nums, w) -> list[Fraction]:
-    """Rational t with nums(t)/den(t) equal to w as an ordered tuple, for
-    integer coefficient lists den and nums, via the gcd of the integer
-    constraints q_j n_j(t) - p_j den(t), where w_j = p_j/q_j.  Membership is
-    exact equality of signed tuples: a family value whose involution image
-    equals w does not count, matching the bundled table's convention.
+def _parameter_candidates(den, nums, v) -> list[Fraction]:
+    """Rational t with nums(t)/den(t) equal to the point w of the primitive
+    vector v = (A1, ..., A4, L) as an ordered tuple, for integer coefficient
+    lists den and nums, via the gcd of the integer constraints
+    L n_j(t) - A_j den(t).  Membership is exact equality of signed tuples: a
+    family value whose involution image equals w does not count, matching
+    the bundled table's convention.
 
     _invert_family calls this only for the families that the residue sieve
     (_sieve_mask) leaves standing, so most non-members never get here; a
@@ -778,12 +799,12 @@ def _parameter_candidates(den, nums, w) -> list[Fraction]:
     proves there is no candidate; otherwise the exact gcd decides.  It
     almost always has degree at most one, so the common case needs no root
     isolation at all."""
+    ell = v[4]
     constraints = []
-    for n, x in zip(nums, w):
-        p, q = x.numerator, x.denominator
-        c = [q * a for a in n] + [0] * (len(den) - len(n))
+    for n, x in zip(nums, v):
+        c = [ell * a for a in n] + [0] * (len(den) - len(n))
         for k, b in enumerate(den):
-            c[k] -= p * b
+            c[k] -= x * b
         while c and c[-1] == 0:
             c.pop()
         if c:
@@ -802,27 +823,50 @@ def _parameter_candidates(den, nums, w) -> list[Fraction]:
     return _rational_roots(UPoly(g))
 
 
-def _invert_family(pt: Tuple) -> Optional[Classification]:
-    """Membership in the quartic family (index 0), then in r1..r15.
+def _form_value(cs: Sequence[int], a: int, b: int) -> int:
+    """The form sum c_k a^k b^(D-k) of degree D = len(cs) - 1, cs constant
+    first, by Horner's rule in a."""
+    acc, bk = 0, 1
+    for c in reversed(cs):
+        acc = acc * a + c * bk
+        bk *= b
+    return acc
+
+
+def _family_has(index: int, t: Fraction, v: Tuple[int, ...]) -> bool:
+    """Whether the family value at t is the point of the primitive vector
+    v = (A1, ..., A4, L).  With t = a/b, the homogenized forms give
+    n_j(t)/den(t) = N_j(a, b)/Den(a, b), so the test is Den(a, b) != 0 and
+    N_j(a, b) L = A_j Den(a, b) for j = 1..4."""
+    *nums, den = (
+        _form_value(cs, t.numerator, t.denominator) for cs in _homogenized(index)
+    )
+    ell = v[4]
+    return den != 0 and all(n * ell == x * den for n, x in zip(nums, v))
+
+
+def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
+    """Membership of the point of the primitive vector v in the quartic
+    family (index 0), then in r1..r15.
 
     A residue sieve rejects first, and only rejects: a family is solved
-    exactly (_parameter_candidates, then the _family_value check) unless,
-    for some ell in _SIEVE_PRIMES at which it is not loose, the primitive
-    form of (pt : 1) reduces mod ell outside the image of P^1(F_ell) under
-    the family's homogenized map F = (n1 : n2 : n3 : n4 : den).  This is
-    sound.  If pt = F(a/b) with gcd(a, b) = 1, the integer vector F(a, b) is
-    c times the primitive point for an integer c.  When ell does not divide
-    c, the primitive point reduces to the image of (a : b) mod ell.  When
-    ell divides c, (a : b) mod ell is a common root of all five forms, and
-    a family with such a root is loose at ell: that prime never rejects it.
+    exactly (_parameter_candidates, then _family_has) unless, for some ell
+    in _SIEVE_PRIMES at which it is not loose, v reduces mod ell outside
+    the image of P^1(F_ell) under the family's homogenized map
+    F = (n1 : n2 : n3 : n4 : den).  This is sound.  If the point is F(a/b)
+    with gcd(a, b) = 1, the integer vector F(a, b) is c times v for an
+    integer c.  When ell does not divide c, v reduces to the image of
+    (a : b) mod ell.  When ell divides c, (a : b) mod ell is a common root
+    of all five forms, and a family with such a root is loose at ell: that
+    prime never rejects it.
     """
-    mask = _sieve_mask(pt, _family_sieve())
+    mask = _sieve_mask(v, _family_sieve())
     for i in range(16):
         if not mask >> i & 1:
             continue
         den, nums = _int_family(i)
-        for t in _parameter_candidates(den, nums, pt):
-            if horner(den, t) and _family_value(i, t) == pt:
+        for t in _parameter_candidates(den, nums, v):
+            if _family_has(i, t, v):
                 t = _as_int_if_whole(t)
                 if i:
                     return Classification("r", index=i, t=t)
@@ -830,18 +874,23 @@ def _invert_family(pt: Tuple) -> Optional[Classification]:
     return None
 
 
-def _match_family(pt: Tuple) -> Optional[Classification]:
-    """Base-family membership for an exact strictly increasing positive
-    point.  Integer points are tested against xi; the quartic and rational
-    families are solved over the rationals (their parameters need not be
-    integers along descent chains)."""
-    ip = as_int_point(pt)
-    hit = _invert_xi(ip) if ip is not None else None
-    return hit or _invert_family(pt)
+def _match_family(v: Tuple[int, ...]) -> Optional[Classification]:
+    """Base-family membership for the primitive vector of a strictly
+    increasing positive point.  Integer points (L = 1) are tested against
+    xi; the quartic and rational families are solved over the rationals
+    (their parameters need not be integers along descent chains)."""
+    hit = _invert_xi(v[:4]) if v[4] == 1 else None
+    return hit or _invert_family(v)
 
 
-def _height(pt: Tuple) -> Fraction:
-    return max(abs(Fraction(x)) for x in pt)
+def _height(v: Tuple[int, ...]) -> Tuple[int, int]:
+    """max |w_i| of the point of v, as (max |A_i|, L); _lower compares."""
+    return max(map(abs, v[:4])), v[4]
+
+
+def _lower(h: Tuple[int, int], g: Tuple[int, int]) -> bool:
+    """Whether height h is strictly below height g, by cross-multiplying."""
+    return h[0] * g[1] < g[0] * h[1]
 
 
 _MAX_CHAIN = 200
@@ -864,15 +913,26 @@ def _chain_representatives() -> Tuple[TrivialInvolution, ...]:
     return tuple(reps)
 
 
-def _base_of(w: Tuple) -> Optional[Tuple[TrivialInvolution, Classification]]:
-    """(inner involution, base verdict) if w is a trivial point, or if the
-    strictly increasing positive form of w is a family point; the involution
-    maps w onto that form.  Only the normalized form is matched, so a family
-    value that is not itself increasing and positive is never a base."""
-    x = trivial_parameter(w)
+def _normalize(v: Tuple[int, ...]):
+    """normalize_point on a primitive vector: (g, g.on_vector(v)), or
+    None.  L > 0, so the signs and order of A..D are those of the point."""
+    norm = normalize_point(v[:4])
+    if norm is None:
+        return None
+    g, head = norm
+    return g, (*head, v[4])
+
+
+def _base_of(w: Tuple[int, ...]) -> Optional[Tuple[TrivialInvolution, Classification]]:
+    """(inner involution, base verdict) if the point of the primitive
+    vector w is trivial, or if its strictly increasing positive form is a
+    family point; the involution maps w onto that form.  Only the
+    normalized form is matched, so a family value that is not itself
+    increasing and positive is never a base."""
+    x = _vector_trivial(w)
     if x is not None:
         return IDENTITY, Classification("trivial", x=x)
-    norm = normalize_point(w)
+    norm = _normalize(w)
     if norm is None:
         return None
     inner, wn = norm
@@ -882,9 +942,9 @@ def _base_of(w: Tuple) -> Optional[Tuple[TrivialInvolution, Classification]]:
     return inner, hit
 
 
-def _descend(pt: Tuple) -> Optional[Classification]:
+def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
     """Search for a tower eta(pt) = zeta^k(w), k >= 1, over a family or
-    trivial point w.
+    trivial point w, where v is the primitive vector of pt.
 
     The map is deterministic once the outer involution is fixed, so the
     search is a bundle of straight chains, not a tree: for each coset
@@ -896,15 +956,19 @@ def _descend(pt: Tuple) -> Optional[Classification]:
     One direction suffices.  The twist Z of zeta = phi Z is an involution
     that commutes with -1 and tau, so zeta^-1 = Z zeta Z, and the forward
     chain from eta is Z applied to the inverse chain from the representative
-    of Z eta: same heights, same normal forms, same bases.  Any hit is
-    replayed forward exactly before it is accepted.
+    of Z eta: same heights, same normal forms, same bases.  Every node is a
+    primitive integer vector (zeta_inv_vector), heights compare by
+    cross-multiplication, and only a hit's base value is converted back to
+    int/Fraction coordinates for its witness.  Any hit is replayed forward
+    exactly before it is accepted.
     """
+    h0 = _height(v)
     for eta in _chain_representatives():
-        w = eta(pt)
-        h = _height(pt)
+        w = eta.on_vector(v)
+        h = h0
         for k in range(1, _MAX_CHAIN + 1):
             try:
-                w = _exact_point(apply_zeta_inv(w))
+                w = zeta_inv_vector(w)
             except ZeroDivisionError:
                 break
             found = _base_of(w)
@@ -914,27 +978,41 @@ def _descend(pt: Tuple) -> Optional[Classification]:
                     "lift",
                     base=base,
                     lifts=k,
-                    witness=(eta, k, inner, _exact_point(inner(w))),
+                    witness=(eta, k, inner, from_vector(inner.on_vector(w))),
                 )
-                if _tower_replays(pt, cls):
+                if _tower_replays(v, cls):
                     return cls
             hw = _height(w)
-            if hw >= h:
+            if not _lower(hw, h):
                 break
             h = hw
     return None
 
 
-def _tower_replays(pt: Tuple, cls: Classification) -> bool:
-    """Forward-evaluate a lift witness back up to the original point."""
+def _tower_replays(v: Tuple[int, ...], cls: Classification) -> bool:
+    """Forward-evaluate a lift witness back up to the point of the
+    primitive vector v: the base value's vector, the inverse inner
+    involution, k applications of zeta_vector and the inverse outer
+    involution must give v itself.  Primitive vectors with L > 0 are
+    unique, so vector equality is exact point equality."""
     eta, k, inner, base_value = cls.witness
-    x = inner.inverse()(base_value)
+    x = inner.inverse().on_vector(to_vector(base_value))
     try:
         for _ in range(k):
-            x = apply_zeta(x)
+            x = zeta_vector(x)
     except ZeroDivisionError:
         return False
-    return _exact_point(eta.inverse()(x)) == pt
+    return eta.inverse().on_vector(x) == v
+
+
+def _surface_vector(seq: Sequence) -> Tuple[int, ...]:
+    """The primitive vector of an exact point, which must lie on the
+    surface."""
+    pt = _exact_point(seq)
+    v = to_vector(pt)
+    if not vector_on_surface(v):
+        raise ValueError(f"{pt} does not satisfy the two defining equations")
+    return v
 
 
 def descent_chain(seq: Sequence) -> List[Tuple]:
@@ -945,31 +1023,32 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     every point visited (the input's normalized form first).  The chain
     stops at a trivial point, at a vanishing denominator, or when the
     height stops dropping; classify() chases the sign/order variants of
-    this chain, this is the one-line diagnostic view.
+    this chain, this is the one-line diagnostic view.  The walk is the one
+    _descend takes, on primitive integer vectors; each point comes back
+    with int coordinates where they are whole and Fractions elsewhere.
     """
-    pt = _exact_point(seq)
-    if not on_surface(pt):
-        raise ValueError(f"{pt} does not satisfy the two defining equations")
-    norm = normalize_point(pt)
-    w = norm[1] if norm is not None else pt
+    w = _surface_vector(seq)
+    norm = _normalize(w)
+    if norm is not None:
+        w = norm[1]
     chain = [w]
     h = _height(w)
     for _ in range(_MAX_CHAIN):
-        if trivial_parameter(w) is not None:
+        if _vector_trivial(w) is not None:
             break
         try:
-            w = _exact_point(apply_zeta_inv(w))
+            w = zeta_inv_vector(w)
         except ZeroDivisionError:
             break
-        norm = normalize_point(w)
+        norm = _normalize(w)
         if norm is not None:
             w = norm[1]
         chain.append(w)
         hw = _height(w)
-        if hw >= h:
+        if not _lower(hw, h):
             break
         h = hw
-    return chain
+    return [from_vector(w) for w in chain]
 
 
 def classify(seq: Sequence) -> Classification:
@@ -979,20 +1058,18 @@ def classify(seq: Sequence) -> Classification:
     sporadic.  Non-trivial inputs must be strictly increasing and positive
     (descend from the caller's side with a trivial involution first if not).
     """
-    pt = _exact_point(seq)
-    if not on_surface(pt):
-        raise ValueError(f"{pt} does not satisfy the two defining equations")
-    x = trivial_parameter(pt)
+    v = _surface_vector(seq)
+    x = _vector_trivial(v)
     if x is not None:
         return Classification("trivial", x=x)
-    if not is_increasing_positive(pt):
+    if not is_increasing_positive(v[:4]):
         raise ValueError(
             "non-trivial points must be strictly increasing and positive"
         )
-    base = _match_family(pt)
+    base = _match_family(v)
     if base is not None:
         return base
-    lifted = _descend(pt)
+    lifted = _descend(v)
     if lifted is not None:
         return lifted
     return Classification("sporadic")
@@ -1011,7 +1088,7 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
     if cls.kind == "r":
         return r_value(cls.index, cls.t) == pt
     if cls.kind == "lift":
-        return cls.witness is not None and _tower_replays(pt, cls)
+        return cls.witness is not None and _tower_replays(to_vector(pt), cls)
     return cls.kind == "sporadic"
 
 

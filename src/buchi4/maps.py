@@ -10,6 +10,11 @@ Three layers:
     whose orbit of (1, 2, 3, 4) is driven by the Pell-like sequence
     u(0) = 0, u(1) = 1, u(n+2) = 10 u(n+1) - u(n).
 
+At rational points the maps run on integers: a point is carried as its
+primitive vector (A, B, C, D, L) (to_vector), phi_vector is the one integer
+kernel, and apply_phi, apply_zeta and apply_zeta_inv convert to and from
+Fractions around it.
+
 verify_group_relations() re-proves every claimed relation between these maps,
 the phi relations as exact normal-form-zero checks in the quotient ring.
 """
@@ -21,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Tuple
 
 from .mpoly import MPoly4
@@ -40,6 +46,12 @@ __all__ = [
     "PhiMap",
     "phi_map",
     "on_surface",
+    "vector_on_surface",
+    "to_vector",
+    "from_vector",
+    "phi_vector",
+    "zeta_vector",
+    "zeta_inv_vector",
     "apply_phi",
     "apply_zeta",
     "apply_zeta_inv",
@@ -77,6 +89,11 @@ class TrivialInvolution:
         if self.rev:
             pt = pt[::-1]
         return tuple(s * x for s, x in zip(self.signs, pt))
+
+    def on_vector(self, v: Tuple[int, ...]) -> Tuple[int, ...]:
+        """self on a vector (A, B, C, D, L) (see to_vector): the first four
+        entries move, L > 0 stays."""
+        return (*self(v[:4]), v[4])
 
     def compose(self, other: "TrivialInvolution") -> "TrivialInvolution":
         """self after other."""
@@ -128,6 +145,29 @@ def group_elements() -> list[TrivialInvolution]:
     ]
 
 
+# -- the primitive integer vector of a rational point -------------------------
+
+
+def to_vector(pt: Point) -> Tuple[int, ...]:
+    """The int/Fraction point pt as (A, B, C, D, L) with L > 0 the lcm of
+    the denominators and pt = (A/L, ..., D/L).  The five entries have gcd 1
+    (a prime dividing L divides some denominator to the full power it has in
+    L, and that coordinate's numerator is prime to it), so the vector is the
+    point's one primitive representative with L > 0 and equal points give
+    equal vectors."""
+    ell = lcm(*(x.denominator for x in pt))
+    return (*(x.numerator * (ell // x.denominator) for x in pt), ell)
+
+
+def from_vector(v: Tuple[int, ...]) -> Point:
+    """The point v stands for, each coordinate an int when it is whole and
+    a Fraction otherwise."""
+    ell = v[4]
+    if ell == 1:
+        return v[:4]
+    return tuple(a // ell if a % ell == 0 else Fraction(a, ell) for a in v[:4])
+
+
 # -- the rational involution --------------------------------------------------
 
 
@@ -157,11 +197,16 @@ def phi_map() -> PhiMap:
 
 
 def on_surface(pt: Point) -> bool:
-    a, b, c, d = pt
-    return (
-        a * a - 2 * b * b + c * c == 2
-        and b * b - 2 * c * c + d * d == 2
-    )
+    return vector_on_surface((*pt, 1))
+
+
+def vector_on_surface(v: Tuple) -> bool:
+    """The two defining equations at the point v = (A, B, C, D, L) stands
+    for, cleared of denominators: A^2 - 2B^2 + C^2 = 2L^2 and
+    B^2 - 2C^2 + D^2 = 2L^2."""
+    a, b, c, d, ell = v
+    two = 2 * ell * ell
+    return a * a - 2 * b * b + c * c == two and b * b - 2 * c * c + d * d == two
 
 
 _PHI_UNDEFINED = "the involution is undefined where (b - c)^2 (a - 2b + c) vanishes"
@@ -172,13 +217,18 @@ def _phi_table():
     """p1..p4 and q as one evaluation table, built on first use:
     every monomial as its four exponents plus its co-degree h - deg, where
     h is the largest total degree among the five; per polynomial its
-    (coefficient, monomial index) pairs; and the largest exponent."""
+    coefficients and a getter of their monomials' values (each polynomial
+    has several terms, so the getter returns a tuple); and the largest
+    exponent."""
     polys = (*phi_map().p, phi_map().q)
     keys = sorted({k for f in polys for k in f.terms})
     hom = max(sum(k) for k in keys)
     monos = tuple((*k, hom - sum(k)) for k in keys)
     index = {k: j for j, k in enumerate(keys)}
-    terms = tuple(tuple((c, index[k]) for k, c in f.terms.items()) for f in polys)
+    terms = tuple(
+        (tuple(f.terms.values()), itemgetter(*(index[k] for k in f.terms)))
+        for f in polys
+    )
     return monos, terms, max(max(m) for m in monos)
 
 
@@ -189,25 +239,52 @@ def _powers(x, top: int) -> list:
     return out
 
 
-def apply_phi(pt: Point) -> Point:
-    """Image of a numeric or symbolic point, exactly, from one homogenized
-    monomial table.  At an int/Fraction point, with L the lcm of the
-    denominators and (A, B, C, D) = L * pt, each polynomial homogenized to
-    degree h gives L^h p_i(pt) and L^h q(pt) as integers, whose ratio is the
-    exact coordinate.  Polynomial and rational-function coordinates take
-    L = 1 and a RatFunc quotient."""
+def _phi_forms(vals) -> list:
+    """L^h p1, ..., L^h p4, L^h q at vals = (A, B, C, D, L), each polynomial
+    homogenized to degree h in L: integers at an integer vector, and
+    polynomials or rational functions at symbolic coordinates with L = 1."""
     monos, terms, top = _phi_table()
-    numeric = all(isinstance(x, (int, Fraction)) for x in pt)
-    ell = lcm(*(x.denominator for x in pt)) if numeric else 1
-    if numeric:
-        pt = [x.numerator * (ell // x.denominator) for x in pt]
-    pa, pb, pc, pd, pl = (_powers(v, top) for v in (*pt, ell))
-    vals = [pa[a] * pb[b] * pc[c] * pd[d] * pl[e] for a, b, c, d, e in monos]
-    *nums, den = (sum(c * vals[j] for c, j in f) for f in terms)
+    pa, pb, pc, pd, pl = (_powers(v, top) for v in vals)
+    mv = [pa[a] * pb[b] * pc[c] * pd[d] * pl[e] for a, b, c, d, e in monos]
+    return [sum(map(mul, coeffs, values(mv))) for coeffs, values in terms]
+
+
+def phi_vector(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The integer kernel of phi: the image of the point that the primitive
+    vector v = (A, B, C, D, L) stands for, as its primitive vector
+    (P1, P2, P3, P4, Q), Q > 0.  The homogenized forms give
+    L^h p_i(pt) / L^h q(pt) = P_i / Q exactly, and dividing out the gcd
+    (with the sign of Q) makes the result primitive again."""
+    *nums, den = _phi_forms(v)
     if den == 0:
         raise DenominatorVanishes(_PHI_UNDEFINED)
-    if numeric:
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    return (nums[0] // g, nums[1] // g, nums[2] // g, nums[3] // g, den // g)
+
+
+def zeta_vector(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """apply_zeta on primitive vectors."""
+    return phi_vector(ZETA_TWIST.on_vector(v))
+
+
+def zeta_inv_vector(v: Tuple[int, ...]) -> Tuple[int, ...]:
+    """apply_zeta_inv on primitive vectors."""
+    return ZETA_TWIST.on_vector(phi_vector(v))
+
+
+def apply_phi(pt: Point) -> Point:
+    """Image of a numeric or symbolic point, exactly, from one homogenized
+    monomial table.  An int/Fraction point goes through phi_vector and
+    comes back as four Fractions.  Polynomial and rational-function
+    coordinates take L = 1 and a RatFunc quotient."""
+    if all(isinstance(x, (int, Fraction)) for x in pt):
+        *nums, den = phi_vector(to_vector(pt))
         return tuple(Fraction(n, den) for n in nums)
+    *nums, den = _phi_forms((*pt, 1))
+    if den == 0:
+        raise DenominatorVanishes(_PHI_UNDEFINED)
     return tuple(RatFunc.of(n) / den for n in nums)
 
 

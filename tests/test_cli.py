@@ -96,8 +96,12 @@ def test_curve_output(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[1] == "squarefree: yes"
-    assert lines[2] == "t,y,trivial"
-    assert lines[3] == "-4,7,yes"
+    assert lines[2] == "genus: 2"
+    assert lines[3] == "t,y,trivial"
+    assert lines[4] == "-4,7,yes"
+    code, out, _ = run(capsys, "curve", "--n", "3", "--side", "right", "--squarefree")
+    assert code == 0
+    assert out.splitlines()[1:] == ["squarefree: yes", "genus: 6"]
 
 
 def test_table_modes(capsys):

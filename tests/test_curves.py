@@ -55,6 +55,14 @@ def test_rhs_is_the_extension_radicand():
             assert left(t) == 2 * x1 * x1 - x2 * x2 + 2
 
 
+def test_left_curve_is_the_right_curve_reflected():
+    # xi1(n, t) = -xi4(n, -5 - t) and xi2(n, t) = -xi3(n, -5 - t), so
+    # left(t) = right(-5 - t) as polynomials: one side determines the other
+    reflect = UPoly((-5, -1))
+    for n in range(1, 9):
+        assert curve_rhs(n, "left").rhs == curve_rhs(n, "right").rhs(reflect)
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         curve_rhs(0, "right")

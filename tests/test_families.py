@@ -9,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buchi4.families import (
+    _MAX_CHAIN,
     _SIEVE_PRIMES,
     Classification,
+    _chain_representatives,
+    _descend,
     _family_sieve,
     _int_family,
     _invert_family,
+    _invert_xi,
     _parameter_candidates,
     _rational_roots,
     _residue_image,
@@ -47,11 +51,15 @@ from buchi4.families import (
     xi_poly,
 )
 from buchi4.maps import (
+    IDENTITY,
     DenominatorVanishes,
     apply_zeta,
     apply_zeta_inv,
+    as_int_point,
+    group_elements,
     normalize_point,
     on_surface,
+    to_vector,
 )
 from buchi4.poly import UPoly, gcd_is_constant_mod, horner, upoly_gcd
 from buchi4.search import bundled_table
@@ -453,7 +461,7 @@ def test_parameter_candidates_find_members_at_integer_and_rational_t():
                 value = _family_value(index, t)
             except DenominatorVanishes:
                 continue
-            got = _parameter_candidates(*_int_family(index), value)
+            got = _parameter_candidates(*_int_family(index), to_vector(value))
             assert Fraction(t) in got, (index, t, got)
             assert got == _reference_candidates(*_family(index), value)
 
@@ -478,7 +486,7 @@ def test_parameter_candidates_match_the_fraction_path_off_the_families():
         den, nums = _int_family(index)
         ref_den, ref_nums = _family(index)
         for pt in points:
-            got = _parameter_candidates(den, nums, pt)
+            got = _parameter_candidates(den, nums, to_vector(pt))
             assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
 
 
@@ -494,7 +502,7 @@ def _assert_sieve_keeps(index, t):
         value = _family_value(index, t)
     except DenominatorVanishes:
         return
-    assert _sieve_mask(value, _family_sieve()) >> index & 1, (index, t)
+    assert _sieve_mask(to_vector(value), _family_sieve()) >> index & 1, (index, t)
 
 
 def test_sieve_keeps_every_family_value_in_its_own_bit():
@@ -528,12 +536,14 @@ def test_sieve_never_rejects_a_family_value(index, a, b, scale):
     _assert_sieve_keeps(index, Fraction(a, b * scale))
 
 
-def _reference_invert_family(pt):
-    """The family match without the sieve: every family goes through the
-    exact path."""
+def _reference_invert_family(pt, mask=-1):
+    """The family match without the sieve: every family (in mask) goes
+    through the exact path, and membership is checked in Fractions."""
     for index in FAMILY_INDICES:
+        if not mask >> index & 1:
+            continue
         den, nums = _int_family(index)
-        for t in _parameter_candidates(den, nums, pt):
+        for t in _parameter_candidates(den, nums, to_vector(pt)):
             if horner(den, t) and _family_value(index, t) == pt:
                 t = t.numerator if t.denominator == 1 else t
                 if index:
@@ -554,7 +564,7 @@ def test_sieved_family_match_equals_the_unfiltered_loop():
                 pass
     hits = 0
     for pt in points + nodes + values:
-        got = _invert_family(pt)
+        got = _invert_family(to_vector(pt))
         assert got == _reference_invert_family(pt), pt
         hits += got is not None
     assert hits >= len(values)
@@ -576,8 +586,8 @@ def test_a_loose_family_is_never_rejected_at_its_prime():
         for b in (1, 2, ell, 3 * ell, ell * ell):
             t = Fraction(a, b)
             value = tuple(Fraction(horner(cs, t), horner(polys[4], t)) for cs in polys[:4])
-            assert _sieve_mask(value, tables) & 1, t
-            escaped += not _sieve_mask(value, strict)
+            assert _sieve_mask(to_vector(value), tables) & 1, t
+            escaped += not _sieve_mask(to_vector(value), strict)
     # values whose parameter reduces to the common root leave the image
     assert escaped
 
@@ -595,3 +605,189 @@ def test_gcd_certificate_helper():
     assert gcd_is_constant_mod([[1, 1], [1, 0, 7]], 7) is True
     # a common factor modulo p alone: t + 1 and t + 8 agree mod 7
     assert gcd_is_constant_mod([[1, 1], [8, 1]], 7) is False
+
+
+# -- integer descent against the Fraction walk it replaced -------------------
+
+
+def _fraction_exact(seq):
+    return tuple(
+        v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+        for v in seq
+    )
+
+
+def _squaring_trivial(seq):
+    """trivial_parameter as it was: square every candidate x + i."""
+    s1 = seq[0]
+    for x in (s1 - 1, -s1 - 1):
+        if all(s * s == (x + i) * (x + i) for i, s in enumerate(seq, start=1)):
+            return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+    return None
+
+
+def _fraction_height(pt):
+    return max(abs(Fraction(x)) for x in pt)
+
+
+def _fraction_base_of(w):
+    x = _squaring_trivial(w)
+    if x is not None:
+        return IDENTITY, Classification("trivial", x=x)
+    norm = normalize_point(w)
+    if norm is None:
+        return None
+    inner, wn = norm
+    ip = as_int_point(wn)
+    hit = _invert_xi(ip) if ip is not None else None
+    if hit is None:
+        # the sieve only narrows the families to solve (checked above)
+        hit = _reference_invert_family(wn, _sieve_mask(to_vector(wn), _family_sieve()))
+    return None if hit is None else (inner, hit)
+
+
+def _fraction_replays(pt, cls):
+    eta, k, inner, base_value = cls.witness
+    x = inner.inverse()(base_value)
+    try:
+        for _ in range(k):
+            x = apply_zeta(x)
+    except ZeroDivisionError:
+        return False
+    return _fraction_exact(eta.inverse()(x)) == pt
+
+
+def _fraction_descend(pt):
+    """_descend as a walk on Fraction points, the way it ran before chain
+    nodes became integer vectors."""
+    for eta in _chain_representatives():
+        w = eta(pt)
+        h = _fraction_height(pt)
+        for k in range(1, _MAX_CHAIN + 1):
+            try:
+                w = _fraction_exact(apply_zeta_inv(w))
+            except ZeroDivisionError:
+                break
+            found = _fraction_base_of(w)
+            if found is not None:
+                inner, base = found
+                cls = Classification(
+                    "lift", base=base, lifts=k,
+                    witness=(eta, k, inner, _fraction_exact(inner(w))),
+                )
+                if _fraction_replays(pt, cls):
+                    return cls
+            hw = _fraction_height(w)
+            if hw >= h:
+                break
+            h = hw
+    return None
+
+
+def _fraction_descent_chain(seq):
+    pt = _fraction_exact(seq)
+    norm = normalize_point(pt)
+    w = norm[1] if norm is not None else pt
+    chain = [w]
+    h = _fraction_height(w)
+    for _ in range(_MAX_CHAIN):
+        if _squaring_trivial(w) is not None:
+            break
+        try:
+            w = _fraction_exact(apply_zeta_inv(w))
+        except ZeroDivisionError:
+            break
+        norm = normalize_point(w)
+        if norm is not None:
+            w = norm[1]
+        chain.append(w)
+        hw = _fraction_height(w)
+        if hw >= h:
+            break
+        h = hw
+    return chain
+
+
+def _typed(value):
+    """A value with the type of every number in it, so that 2 and
+    Fraction(2) compare unequal."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    if isinstance(value, Classification):
+        return (
+            value.kind, _typed(value.n), _typed(value.t), _typed(value.x),
+            value.index, _typed(value.base), value.lifts, _typed(value.witness),
+        )
+    if isinstance(value, (int, Fraction)):
+        return type(value).__name__, value
+    return value
+
+
+# (family index, t) of the bases perfbench's descent workload lifts
+BENCH_LIFT_BASES = ((1, 2), (1, 3), (3, 7), (7, 3), (8, 1), (8, 3), (0, 1), (0, 5))
+
+
+def _bench_lifts():
+    points = []
+    for index, t in BENCH_LIFT_BASES:
+        w = _family_value(index, t)
+        for _ in range(3):
+            w = apply_zeta(w)
+            points.append(tuple(Fraction(v) for v in normalize_point(w)[1]))
+    return points
+
+
+def test_integer_descent_equals_the_fraction_walk():
+    rows, points = _table_points_and_lifts()
+    lifts = _bench_lifts()
+    hits = 0
+    for pt in points + lifts:
+        exact = _fraction_exact(pt)
+        want = _fraction_descend(exact)
+        got = _descend(to_vector(exact))
+        assert _typed(got) == _typed(want), pt
+        hits += got is not None
+        assert _typed(descent_chain(pt)) == _typed(_fraction_descent_chain(pt)), pt
+        if got is not None:
+            assert verify_classification(pt, got)
+    for pt in lifts:
+        cls = classify(pt)
+        assert cls.kind == "lift" and verify_classification(pt, cls)
+    assert hits >= len(lifts)
+
+
+@given(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.sampled_from(group_elements()),
+)
+@settings(max_examples=200, deadline=None)
+def test_trivial_points_pass_the_fast_reject(x, g):
+    seq = g(tuple(x + i for i in range(1, 5)))
+    got = trivial_parameter(seq)
+    assert got is not None
+    assert verify_classification(seq, Classification("trivial", x=got))
+    assert _typed(got) == _typed(_squaring_trivial(_fraction_exact(seq)))
+
+
+_RATIONALS = st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50)
+
+
+@given(st.tuples(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_trivial_parameter_equals_the_squaring_formula(seq, near):
+    # near > 0 puts |s2| at |s1| +- 1 or 1 - |s1|, past the fast reject
+    if near:
+        m = abs(seq[0])
+        b = (m + 1, m - 1, 1 - m)[near - 1]
+        seq = (seq[0], b, *seq[2:])
+    seq = _fraction_exact(seq)
+    assert _typed(trivial_parameter(seq)) == _typed(_squaring_trivial(seq))
+
+
+def test_trivial_parameter_equals_the_squaring_formula_on_chain_nodes():
+    rows, points = _table_points_and_lifts()
+    nodes = [w for pt in rows + points for w in descent_chain(pt)]
+    assert any(_squaring_trivial(w) is not None for w in nodes)
+    for w in nodes + points:
+        w = _fraction_exact(w)
+        assert _typed(trivial_parameter(w)) == _typed(_squaring_trivial(w)), w
