@@ -55,8 +55,10 @@ from .poly import (
     T,
     UPoly,
     gcd_is_constant_mod,
+    gcd_mod,
     horner,
     int_poly_gcd,
+    rational_reconstruction,
     upoly_gcd,
 )
 from .polytext import parse_upoly
@@ -782,23 +784,10 @@ def _sieve_mask(v: Tuple[int, ...], tables) -> int:
     return mask
 
 
-def _parameter_candidates(den, nums, v) -> list[Fraction]:
-    """Rational t with nums(t)/den(t) equal to the point w of the primitive
-    vector v = (A1, ..., A4, L) as an ordered tuple, for integer coefficient
-    lists den and nums, via the gcd of the integer constraints
-    L n_j(t) - A_j den(t).  Membership is exact equality of signed tuples: a
-    family value whose involution image equals w does not count, matching
-    the bundled table's convention.
-
-    _invert_family calls this only for the families that the residue sieve
-    (_sieve_mask) leaves standing, so most non-members never get here; a
-    family value always survives its own family's sieve, because its
-    primitive form reduces into the family's image of P^1(F_ell) or the
-    family is loose at ell (the argument is in _invert_family).  A
-    constant gcd modulo a prime that keeps the first constraint's degree
-    proves there is no candidate; otherwise the exact gcd decides.  It
-    almost always has degree at most one, so the common case needs no root
-    isolation at all."""
+def _constraints(den, nums, v) -> list[list[int]]:
+    """The nonzero integer constraints L n_j(t) - A_j den(t), j = 1..4,
+    whose common rational roots t are the parameters at which nums/den
+    takes the point of the primitive vector v = (A1, ..., A4, L)."""
     ell = v[4]
     constraints = []
     for n, x in zip(nums, v):
@@ -809,6 +798,23 @@ def _parameter_candidates(den, nums, v) -> list[Fraction]:
             c.pop()
         if c:
             constraints.append(c)
+    return constraints
+
+
+def _parameter_candidates(den, nums, v) -> list[Fraction]:
+    """Rational t with nums(t)/den(t) equal to the point w of the primitive
+    vector v = (A1, ..., A4, L) as an ordered tuple, for integer coefficient
+    lists den and nums, exactly: the rational roots of the gcd of the
+    _constraints.  Membership is exact equality of signed tuples: a family
+    value whose involution image equals w does not count, matching the
+    bundled table's convention.
+
+    This is the exact path, and _family_parameter takes it only when the
+    modular route cannot settle a family.  A constant gcd modulo a prime
+    that keeps the first constraint's degree proves there is no candidate;
+    otherwise the exact gcd decides.  It almost always has degree at most
+    one, so the common case needs no root isolation at all."""
+    constraints = _constraints(den, nums, v)
     if not constraints or gcd_is_constant_mod(constraints, _DESCENT_PRIME):
         return []
     g = constraints[0]
@@ -821,6 +827,40 @@ def _parameter_candidates(den, nums, v) -> list[Fraction]:
     if len(g) == 2:
         return [Fraction(-g[0], g[1])]
     return _rational_roots(UPoly(g))
+
+
+def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
+    """The t at which family index (0 the quartic family, else r(index))
+    takes the point of the primitive vector v, or None.
+
+    The constraints are reduced mod _DESCENT_PRIME and their gcd is taken
+    there until it has degree at most one (gcd_mod).  Since the first
+    constraint's leading coefficient survives mod p, the exact primitive
+    gcd has at most that degree.  Degree 0 proves that there is no
+    candidate.  Degree 1 has one root r mod p; rebuilt as a/b with |a|,
+    b <= sqrt(p/2) and confirmed by the exact _family_has, that t is a
+    common root of the constraints, so the exact gcd has degree one with
+    root t, and t is the only candidate.  Only when p divides the leading
+    coefficient, the gcd mod p has degree two or more, the root has no
+    fraction within the bound or the confirmation fails does the input
+    send the family to the unchanged exact path (_parameter_candidates,
+    then _family_has on each candidate)."""
+    den, nums = _int_family(index)
+    constraints = _constraints(den, nums, v)
+    if not constraints:
+        return None
+    g = gcd_mod(constraints, _DESCENT_PRIME, until=1)
+    if g is not None:
+        if len(g) == 1:
+            return None
+        if len(g) == 2:
+            t = rational_reconstruction(-g[0], _DESCENT_PRIME)
+            if t is not None and _family_has(index, t, v):
+                return t
+    for t in _parameter_candidates(den, nums, v):
+        if _family_has(index, t, v):
+            return t
+    return None
 
 
 def _form_value(cs: Sequence[int], a: int, b: int) -> int:
@@ -850,27 +890,32 @@ def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
     family (index 0), then in r1..r15.
 
     A residue sieve rejects first, and only rejects: a family is solved
-    exactly (_parameter_candidates, then _family_has) unless, for some ell
-    in _SIEVE_PRIMES at which it is not loose, v reduces mod ell outside
-    the image of P^1(F_ell) under the family's homogenized map
+    exactly (_family_parameter) unless, for some ell in _SIEVE_PRIMES at
+    which it is not loose, v reduces mod ell outside the image of
+    P^1(F_ell) under the family's homogenized map
     F = (n1 : n2 : n3 : n4 : den).  This is sound.  If the point is F(a/b)
     with gcd(a, b) = 1, the integer vector F(a, b) is c times v for an
     integer c.  When ell does not divide c, v reduces to the image of
     (a : b) mod ell.  When ell divides c, (a : b) mod ell is a common root
     of all five forms, and a family with such a root is loose at ell: that
     prime never rejects it.
+
+    A family the sieve keeps is settled from the gcd of its constraints
+    mod _DESCENT_PRIME: a constant proves that there is no candidate, and
+    a degree-one gcd gives its root as a fraction of small height, which
+    one exact _family_has test confirms as the only candidate.  The exact
+    gcd runs only on what that cannot settle (see _family_parameter).
     """
     mask = _sieve_mask(v, _family_sieve())
     for i in range(16):
         if not mask >> i & 1:
             continue
-        den, nums = _int_family(i)
-        for t in _parameter_candidates(den, nums, v):
-            if _family_has(i, t, v):
-                t = _as_int_if_whole(t)
-                if i:
-                    return Classification("r", index=i, t=t)
-                return Classification("p", t=t)
+        t = _family_parameter(i, v)
+        if t is not None:
+            t = _as_int_if_whole(t)
+            if i:
+                return Classification("r", index=i, t=t)
+            return Classification("p", t=t)
     return None
 
 

@@ -10,10 +10,14 @@ Three layers:
     whose orbit of (1, 2, 3, 4) is driven by the Pell-like sequence
     u(0) = 0, u(1) = 1, u(n+2) = 10 u(n+1) - u(n).
 
-At rational points the maps run on integers: a point is carried as its
-primitive vector (A, B, C, D, L) (to_vector), phi_vector is the one integer
-kernel, and apply_phi, apply_zeta and apply_zeta_inv convert to and from
-Fractions around it.
+phi has one evaluator, _phi_kernel: a straight-line function of
+(A, B, C, D, L) compiled on first use from source generated out of the
+asset, which computes the five homogenized forms with every shared power
+product built once.  At rational points the maps run on integers: a point is
+carried as its primitive vector (A, B, C, D, L) (to_vector), phi_vector runs
+the kernel on it, and apply_phi, apply_zeta and apply_zeta_inv convert to
+and from Fractions around it.  Polynomial and rational-function coordinates
+are cleared of their common denominator and go through the same kernel.
 
 verify_group_relations() re-proves every claimed relation between these maps,
 the phi relations as exact normal-form-zero checks in the quotient ring.
@@ -27,11 +31,10 @@ from functools import lru_cache
 from importlib import resources
 from itertools import product
 from math import gcd, lcm
-from operator import itemgetter, mul
 from typing import Tuple
 
 from .mpoly import MPoly4
-from .poly import RatFunc
+from .poly import RatFunc, UPoly, upoly_gcd
 
 __all__ = [
     "DenominatorVanishes",
@@ -212,50 +215,93 @@ def vector_on_surface(v: Tuple) -> bool:
 _PHI_UNDEFINED = "the involution is undefined where (b - c)^2 (a - 2b + c) vanishes"
 
 
+def _monomial(exps, names, lines, known) -> str:
+    """The name of the product of names[i]^exps[i], emitted into lines as
+    one multiplication by a variable onto a shorter product (the last
+    variable with a positive exponent comes off first), each product once;
+    "1" for the empty product."""
+    if exps not in known:
+        j = max(i for i, e in enumerate(exps) if e)
+        rest = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+        head = _monomial(rest, names, lines, known)
+        if head == "1":
+            known[exps] = names[j]
+        else:
+            known[exps] = "".join(
+                n + str(e) * (e > 1) for n, e in zip(names, exps) if e
+            )
+            lines.append(f"    {known[exps]} = {head} * {names[j]}")
+    return known[exps]
+
+
+def _linear_sum(terms) -> str:
+    """Source of sum(c * name) over (c, name) pairs, a name "1" meaning the
+    bare coefficient."""
+    out = []
+    for c, name in terms:
+        if name == "1":
+            part = str(abs(c))
+        elif abs(c) == 1:
+            part = name
+        else:
+            part = f"{abs(c)}*{name}"
+        out.append(("-" if c < 0 else "+") + " " + part)
+    text = " ".join(out)
+    return text[2:] if text.startswith("+") else "-" + text[2:]
+
+
 @lru_cache(maxsize=1)
-def _phi_table():
-    """p1..p4 and q as one evaluation table, built on first use:
-    every monomial as its four exponents plus its co-degree h - deg, where
-    h is the largest total degree among the five; per polynomial its
-    coefficients and a getter of their monomials' values (each polynomial
-    has several terms, so the getter returns a tuple); and the largest
-    exponent."""
+def _phi_kernel():
+    """The forms L^h p1, ..., L^h p4, L^h q at (A, B, C, D, L), each
+    polynomial of the asset homogenized to degree h in L (h its largest
+    total degree), as one straight-line function compiled on first use.
+
+    Its source is generated from phi_map(), so the asset stays the only
+    source of the coefficients: every power product of B, C and L that a
+    term needs is built once, by one multiplication onto a shorter product,
+    and the terms of each form are grouped by their A/D factor (1, A, D,
+    AD, ...), so a form is a few sums of B, C, L products, each multiplied
+    by its factor once.  The function runs on any ring elements that add,
+    subtract and multiply with ints: integers for phi_vector, polynomials
+    for the symbolic points of apply_phi."""
     polys = (*phi_map().p, phi_map().q)
-    keys = sorted({k for f in polys for k in f.terms})
-    hom = max(sum(k) for k in keys)
-    monos = tuple((*k, hom - sum(k)) for k in keys)
-    index = {k: j for j, k in enumerate(keys)}
-    terms = tuple(
-        (tuple(f.terms.values()), itemgetter(*(index[k] for k in f.terms)))
-        for f in polys
-    )
-    return monos, terms, max(max(m) for m in monos)
-
-
-def _powers(x, top: int) -> list:
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
-def _phi_forms(vals) -> list:
-    """L^h p1, ..., L^h p4, L^h q at vals = (A, B, C, D, L), each polynomial
-    homogenized to degree h in L: integers at an integer vector, and
-    polynomials or rational functions at symbolic coordinates with L = 1."""
-    monos, terms, top = _phi_table()
-    pa, pb, pc, pd, pl = (_powers(v, top) for v in vals)
-    mv = [pa[a] * pb[b] * pc[c] * pd[d] * pl[e] for a, b, c, d, e in monos]
-    return [sum(map(mul, coeffs, values(mv))) for coeffs, values in terms]
+    hom = max(sum(k) for f in polys for k in f.terms)
+    lines: list[str] = []
+    known = {(0, 0, 0): "1", (0, 0): "1"}
+    forms = []
+    for f in polys:
+        groups: dict = {}
+        for (a, b, c, d), coeff in sorted(f.terms.items()):
+            inner = _monomial((b, c, hom - a - b - c - d), "BCL", lines, known)
+            groups.setdefault((a, d), []).append((coeff, inner))
+        parts = []
+        for ad, terms in sorted(groups.items()):
+            factor = _monomial(ad, "AD", lines, known)
+            body = _linear_sum(terms)
+            if factor == "1":
+                parts.append(f"({body})")
+            else:
+                parts.append(f"{factor} * ({body})")
+        forms.append(" + ".join(parts))
+    source = "\n".join([
+        "def phi_forms(A, B, C, D, L):",
+        *lines,
+        "    return (",
+        *(f"        {form}," for form in forms),
+        "    )",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<phi kernel>", "exec"), namespace)
+    return namespace["phi_forms"]
 
 
 def phi_vector(v: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The integer kernel of phi: the image of the point that the primitive
-    vector v = (A, B, C, D, L) stands for, as its primitive vector
-    (P1, P2, P3, P4, Q), Q > 0.  The homogenized forms give
+    """phi on integers: the image of the point that the primitive vector
+    v = (A, B, C, D, L) stands for, as its primitive vector
+    (P1, P2, P3, P4, Q), Q > 0.  The homogenized forms of _phi_kernel give
     L^h p_i(pt) / L^h q(pt) = P_i / Q exactly, and dividing out the gcd
     (with the sign of Q) makes the result primitive again."""
-    *nums, den = _phi_forms(v)
+    *nums, den = _phi_kernel()(*v)
     if den == 0:
         raise DenominatorVanishes(_PHI_UNDEFINED)
     g = gcd(*nums, den)
@@ -275,17 +321,24 @@ def zeta_inv_vector(v: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def apply_phi(pt: Point) -> Point:
-    """Image of a numeric or symbolic point, exactly, from one homogenized
-    monomial table.  An int/Fraction point goes through phi_vector and
-    comes back as four Fractions.  Polynomial and rational-function
-    coordinates take L = 1 and a RatFunc quotient."""
+    """Image of a numeric or symbolic point, exactly, from the one compiled
+    kernel.  An int/Fraction point goes through phi_vector and comes back
+    as four Fractions.  Polynomial and rational-function coordinates are
+    cleared of their common denominator first, as phi_vector does with L:
+    the kernel runs on polynomials, and each coordinate comes back as one
+    RatFunc quotient."""
     if all(isinstance(x, (int, Fraction)) for x in pt):
         *nums, den = phi_vector(to_vector(pt))
         return tuple(Fraction(n, den) for n in nums)
-    *nums, den = _phi_forms((*pt, 1))
+    coords = [RatFunc.of(x) for x in pt]
+    ell = UPoly((1,))
+    for x in coords:
+        ell = ell * x.den.exact_div(upoly_gcd(ell, x.den))
+    vals = [x.num * ell.exact_div(x.den) for x in coords]
+    *nums, den = _phi_kernel()(*vals, ell if ell.degree else 1)
     if den == 0:
         raise DenominatorVanishes(_PHI_UNDEFINED)
-    return tuple(RatFunc.of(n) / den for n in nums)
+    return tuple(RatFunc(n, den) for n in nums)
 
 
 def apply_zeta(pt: Point) -> Point:

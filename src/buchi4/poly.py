@@ -11,16 +11,18 @@ polynomial families lives.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
-Its integer core also serves integer coefficient lists directly, and
-gcd_is_constant_mod is the modular certificate that lets callers skip the
-exact gcd when it would only prove a constant.  horner evaluates any
-coefficient sequence, UPoly coefficients and plain integer lists alike.
+Its integer core also serves integer coefficient lists directly.  gcd_mod is
+the one modular Euclid: gcd_is_constant_mod, the certificate that lets
+callers skip the exact gcd when it would only prove a constant, runs on it,
+and rational_reconstruction turns the root of a degree-one gcd mod p into a
+fraction.  horner evaluates any coefficient sequence, UPoly coefficients and
+plain integer lists alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -33,7 +35,9 @@ __all__ = [
     "horner",
     "upoly_gcd",
     "int_poly_gcd",
+    "gcd_mod",
     "gcd_is_constant_mod",
+    "rational_reconstruction",
 ]
 
 Scalar = Union[int, Fraction]
@@ -308,29 +312,65 @@ def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
     return UPoly(int_poly_gcd(f.primitive_int()[0], g.primitive_int()[0])).monic()
 
 
-def gcd_is_constant_mod(polys: Sequence[Sequence[int]], p: int) -> Optional[bool]:
-    """Whether the gcd of integer polynomials (coefficient lists, lowest
-    degree first) is constant modulo the prime p; None when p divides the
-    leading coefficient of the first one, which makes p unusable.
+def gcd_mod(
+    polys: Sequence[Sequence[int]], p: int, until: int = 0
+) -> Optional[list[int]]:
+    """The monic gcd modulo the prime p of integer polynomials (coefficient
+    lists, lowest degree first), as residues in [0, p); None when p divides
+    the leading coefficient of the first one, which makes p unusable.
 
-    True certifies a constant gcd over the rationals (Brown's modular gcd
-    argument): the primitive integer gcd divides the first polynomial, so
-    by Gauss's lemma its leading coefficient survives reduction mod p, and
-    its reduction, of the same degree, divides every reduced polynomial.
-    False proves nothing; the exact gcd has to decide.
+    The remainder sequence folds in one polynomial at a time and stops
+    early, before the next one, once the gcd has degree at most until: the
+    gcd of all of them divides what it has then.
+
+    Brown's modular gcd argument bounds the exact gcd by this one: the
+    primitive integer gcd divides the first polynomial, so by Gauss's lemma
+    its leading coefficient survives reduction mod p, and its reduction, of
+    the same degree, divides every reduced polynomial.  So the exact gcd
+    has at most the degree returned, and a constant here certifies a
+    constant gcd over the rationals.
     """
     g = [c % p for c in polys[0]]
     if g[-1] == 0:
         return None
     for h in polys[1:]:
-        if len(g) == 1:
-            return True
+        if len(g) - 1 <= until:
+            break
         h = [c % p for c in h]
         while h and h[-1] == 0:
             h.pop()
         while h:
             g, h = h, _rem_mod(g, h, p)
-    return len(g) == 1
+    inv = pow(g[-1], -1, p)
+    return [c * inv % p for c in g]
+
+
+def gcd_is_constant_mod(polys: Sequence[Sequence[int]], p: int) -> Optional[bool]:
+    """Whether the gcd of integer polynomials is constant modulo the prime
+    p, by gcd_mod; None when p divides the leading coefficient of the first
+    one.  True certifies a constant gcd over the rationals; False proves
+    nothing, and the exact gcd has to decide."""
+    g = gcd_mod(polys, p)
+    return None if g is None else len(g) == 1
+
+
+def rational_reconstruction(r: int, p: int) -> Optional[Fraction]:
+    """The fraction a/b with a = r b mod p, |a| <= sqrt(p/2) and
+    0 < b <= sqrt(p/2), or None when there is none (Wang, Guy & Davenport
+    1982).  Two such fractions a/b and c/d would have |ad - bc| < p and
+    ad - bc = 0 mod p, so there is at most one; the half-extended Euclid
+    on (p, r), stopped at the first remainder within the bound, finds it.
+    """
+    bound = isqrt(p // 2)
+    r0, r1 = p, r % p
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or int_gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def _rem_mod(f: list[int], g: list[int], p: int) -> list[int]:

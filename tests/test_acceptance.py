@@ -6,6 +6,7 @@ runs once and is shared, also by the check that the two search engines
 agree at that bound.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -41,6 +42,7 @@ from buchi4.search import (
     bundled_table,
     compare_with_table,
     enumerate_sequences,
+    records_csv,
     run_pipeline,
 )
 
@@ -152,6 +154,11 @@ def test_criterion_08_desk_scale_table_reproduction(desk_pipeline):
     assert by_seq[row41].classification.serialize() == "xi:4:0"
     assert comparison.misses == (row41,), str(comparison)
     assert set(comparison.matches) == reference - {row41}
+
+    # every verdict, byte for byte: the CSV of the 100 desk rows, header
+    # included
+    csv = "\n".join(records_csv(desk_pipeline)) + "\n"
+    assert hashlib.sha256(csv.encode()).hexdigest().startswith("de0a037703aa3bc4")
 
 
 def test_engines_agree_at_the_desk_bound(desk_pipeline):

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buchi4 import families
 from buchi4.families import (
     _MAX_CHAIN,
     _SIEVE_PRIMES,
     Classification,
     _chain_representatives,
     _descend,
+    _family_has,
+    _family_parameter,
     _family_sieve,
     _int_family,
     _invert_family,
@@ -61,7 +64,7 @@ from buchi4.maps import (
     on_surface,
     to_vector,
 )
-from buchi4.poly import UPoly, gcd_is_constant_mod, horner, upoly_gcd
+from buchi4.poly import UPoly, gcd_is_constant_mod, gcd_mod, horner, upoly_gcd
 from buchi4.search import bundled_table
 
 # the three low rows, coefficients constant-first
@@ -453,8 +456,16 @@ def _reference_candidates(den, nums, w):
     return _rational_roots(g)
 
 
+# parameters whose height is past the bound sqrt(p/2) = 32767 of the
+# rational reconstruction at CERT_PRIME, so only the exact path finds them
+BEYOND_RECONSTRUCTION = (10**6 + 1, Fraction(40001, 3), -(10**6), 2**40 + 1)
+
+
 def test_parameter_candidates_find_members_at_integer_and_rational_t():
-    params = (-3, 1, 2, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(11, 5))
+    params = (
+        -3, 1, 2, 5, Fraction(1, 2), Fraction(-7, 3), Fraction(11, 5),
+        *BEYOND_RECONSTRUCTION,
+    )
     for index in FAMILY_INDICES:
         for t in params:
             try:
@@ -477,6 +488,74 @@ def _table_points_and_lifts():
             except DenominatorVanishes:
                 pass
     return rows, points
+
+
+def _exact_parameter(index, v):
+    """_family_parameter by the exact path alone: int_poly_gcd candidates,
+    the first one that _family_has accepts."""
+    den, nums = _int_family(index)
+    return next(
+        (t for t in _parameter_candidates(den, nums, v) if _family_has(index, t, v)),
+        None,
+    )
+
+
+def _count_exact_calls(monkeypatch):
+    calls = []
+    exact = families._parameter_candidates
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(families, "_parameter_candidates", counted)
+    return calls
+
+
+def test_modular_route_equals_the_exact_path_on_chain_nodes(monkeypatch):
+    rows, _ = _table_points_and_lifts()
+    nodes = {
+        to_vector(w) for pt in rows + _bench_lifts() for w in descent_chain(pt)
+    }
+    for index in FAMILY_INDICES:
+        for t in (-2, 1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
+            try:
+                nodes.add(to_vector(_family_value(index, t)))
+            except DenominatorVanishes:
+                pass
+    want = {
+        (index, v): _exact_parameter(index, v)
+        for v in nodes for index in FAMILY_INDICES
+    }
+    assert sum(t is not None for t in want.values()) >= 90
+    calls = _count_exact_calls(monkeypatch)
+    for (index, v), t in want.items():
+        calls.clear()
+        assert _family_parameter(index, v) == t, (index, v)
+        # a hit at a parameter within the bound is settled mod p: its
+        # degree-one gcd is rebuilt and confirmed
+        assert t is None or not calls, (index, v)
+
+
+def test_members_beyond_the_reconstruction_bound_take_the_exact_path(monkeypatch):
+    calls = _count_exact_calls(monkeypatch)
+    checked = 0
+    for index in FAMILY_INDICES:
+        for t in BEYOND_RECONSTRUCTION:
+            value = _family_value(index, t)
+            calls.clear()
+            assert _family_parameter(index, to_vector(value)) == t, (index, t)
+            assert calls, (index, t)
+            if is_increasing_positive(value):
+                cls = classify(value)
+                assert cls.serialize() == (f"r:{index}:{t}" if index else f"p:{t}")
+                assert verify_classification(value, cls)
+                checked += 1
+        # a parameter within the bound never reaches the exact gcd
+        calls.clear()
+        assert _family_parameter(index, to_vector(_family_value(index, 32767))) == 32767
+        assert not calls
+    assert checked >= 40
 
 
 def test_parameter_candidates_match_the_fraction_path_off_the_families():
@@ -605,6 +684,14 @@ def test_gcd_certificate_helper():
     assert gcd_is_constant_mod([[1, 1], [1, 0, 7]], 7) is True
     # a common factor modulo p alone: t + 1 and t + 8 agree mod 7
     assert gcd_is_constant_mod([[1, 1], [8, 1]], 7) is False
+    # the monic gcd itself, None where gcd_is_constant_mod gives None, and a
+    # stop once the degree is at most until
+    assert gcd_mod([f, [24, 11, 1]], 7) == [1, 1]  # t + 8 = t + 1 mod 7
+    assert gcd_mod([[4, 6, 2], [24, 11, 1]], CERT_PRIME) == [1]
+    assert gcd_mod([[1, 0, 7], [1, 1]], 7) is None
+    assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME) == [1]
+    assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME, until=1) == [1, 1]
+    assert gcd_mod([[-2, 0, 2]], CERT_PRIME) == [CERT_PRIME - 1, 0, 1]
 
 
 # -- integer descent against the Fraction walk it replaced -------------------

@@ -2,6 +2,7 @@
 degree-growing map with its Pell-driven base orbit."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from buchi4.families import r_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
+    _phi_kernel,
     IDENTITY,
     TAU,
     ZETA_TWIST,
@@ -24,6 +26,7 @@ from buchi4.maps import (
     on_surface,
     pell,
     phi_map,
+    phi_vector,
     pell_point,
     verify_group_relations,
     zeta_orbit,
@@ -154,6 +157,34 @@ def test_phi_integer_path_matches_polynomial_evaluation():
                 checked += 1
             w = apply_zeta(w)
     assert checked > 100
+
+
+_BIG = st.integers(-(2**80), 2**80)
+
+
+@given(st.tuples(_BIG, _BIG, _BIG, _BIG), st.integers(2, 2**80))
+@settings(max_examples=200, deadline=None)
+def test_phi_kernel_equals_polynomial_evaluation_on_big_vectors(head, ell):
+    # any primitive vector, on the surface or not: the kernel is the five
+    # polynomials of the asset homogenized to one degree h in L
+    if gcd(*head, ell) != 1:
+        return
+    pm = phi_map()
+    polys = (*pm.p, pm.q)
+    h = max(f.total_degree() for f in polys)
+    pt = tuple(Fraction(x, ell) for x in head)
+    want = tuple(f.evaluate(pt) * ell**h for f in polys)
+    got = _phi_kernel()(*head, ell)
+    assert got == want
+    if want[4] == 0:
+        with pytest.raises(DenominatorVanishes):
+            phi_vector((*head, ell))
+    else:
+        *nums, den = phi_vector((*head, ell))
+        assert den > 0 and gcd(*nums, den) == 1
+        assert tuple(Fraction(n, den) for n in nums) == tuple(
+            Fraction(p, want[4]) for p in want[:4]
+        )
 
 
 def test_phi_matches_polynomial_evaluation_at_symbolic_points():

@@ -1,12 +1,22 @@
 """Univariate layer: UPoly, rational functions, the quadratic extension."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buchi4.poly import QUAD_MODULUS, QuadExt, RatFunc, T, UPoly, horner, upoly_gcd
+from buchi4.poly import (
+    QUAD_MODULUS,
+    QuadExt,
+    RatFunc,
+    T,
+    UPoly,
+    horner,
+    rational_reconstruction,
+    upoly_gcd,
+)
 from buchi4.polytext import format_upoly, parse_upoly
 
 small_polys = st.lists(
@@ -65,6 +75,61 @@ def test_gcd_divides_both_and_catches_common_factors(f, g, h):
     assert divmod(f * h, d)[1].is_zero()
     assert divmod(g * h, d)[1].is_zero()
     assert divmod(d, h.monic())[1].is_zero()  # common factor survives
+
+
+# the prime of the family match, and the height bound of its reconstruction
+P31 = 2**31 - 1
+BOUND31 = isqrt(P31 // 2)
+
+
+def _residue(t, p):
+    return t.numerator * pow(t.denominator, -1, p) % p
+
+
+def test_rational_reconstruction_over_all_residues_of_a_small_prime():
+    # against brute force: every a/b with |a|, b <= sqrt(p/2) and a = r b
+    p = 101
+    bound = isqrt(p // 2)
+    found = {}
+    for b in range(1, bound + 1):
+        for a in range(-bound, bound + 1):
+            if gcd(a, b) == 1:
+                found.setdefault(a * pow(b, -1, p) % p, []).append(Fraction(a, b))
+    assert all(len(ts) == 1 for ts in found.values())  # unique when it exists
+    for r in range(p):
+        want = found.get(r, [None])[0]
+        assert rational_reconstruction(r, p) == want, r
+    assert len(found) < p  # some residues have no fraction: None
+
+
+def test_rational_reconstruction_at_the_bound_and_past_it():
+    assert BOUND31 == 32767
+    for t in (
+        Fraction(0), Fraction(-1), Fraction(-5, 7), Fraction(-BOUND31),
+        Fraction(BOUND31, BOUND31 - 1), Fraction(-BOUND31, 2), Fraction(1, BOUND31),
+        Fraction(-1, BOUND31),
+    ):
+        assert rational_reconstruction(_residue(t, P31), P31) == t, t
+    # one past the bound in either part is never returned as itself
+    for t in (
+        Fraction(BOUND31 + 1), Fraction(-BOUND31 - 1, 3), Fraction(1, BOUND31 + 1),
+        Fraction(10**6 + 1), Fraction(40001, 3),
+    ):
+        got = rational_reconstruction(_residue(t, P31), P31)
+        assert got != t
+        assert got is None or _residue(got, P31) == _residue(t, P31)
+
+
+@given(
+    st.integers(-BOUND31, BOUND31),
+    st.integers(1, BOUND31),
+    st.integers(-5, 5),
+)
+@settings(max_examples=200)
+def test_rational_reconstruction_round_trips_within_the_bound(a, b, k):
+    t = Fraction(a, b)
+    r = _residue(t, P31) + k * P31  # residues need not be reduced
+    assert rational_reconstruction(r, P31) == t
 
 
 def test_derivative_and_eval():
