@@ -14,7 +14,7 @@ from typing import Iterable, List, Tuple
 
 from .arith import as_perfect_square
 from .families import xi_poly
-from .poly import UPoly, gcd_is_constant_mod, upoly_gcd
+from .poly import UPoly, gcd_mod, upoly_gcd
 from .polytext import format_upoly
 
 __all__ = [
@@ -89,7 +89,8 @@ def is_squarefree(curve) -> bool:
     if rhs.is_integral() and d.is_integral():
         ints, dints = rhs.int_coeffs(), d.int_coeffs()
         for p in _CERT_PRIMES:
-            if gcd_is_constant_mod((ints, dints), p):
+            g = gcd_mod((ints, dints), p)
+            if g is not None and len(g) == 1:
                 return True
     return upoly_gcd(rhs, d).degree == 0
 

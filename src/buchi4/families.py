@@ -54,7 +54,6 @@ from .poly import (
     RatFunc,
     T,
     UPoly,
-    gcd_is_constant_mod,
     gcd_mod,
     horner,
     int_poly_gcd,
@@ -331,7 +330,7 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 
 
 def _family_value(index: int, t) -> Tuple[Fraction, ...]:
-    den, nums = _int_family(index)
+    *nums, den = _forms(index)
     d = horner(den, t)
     if d == 0:
         raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
@@ -359,7 +358,8 @@ def r_family(i: int) -> Tuple[UPoly, Tuple[UPoly, ...]]:
 
 
 def r_value(i: int, t) -> Tuple[Fraction, ...]:
-    if i == 0:  # _int_family(0) is the quartic family
+    """The i-th rational family at any rational argument, exactly."""
+    if i == 0:  # _forms(0) is the quartic family
         raise KeyError(f"rational family index must be 1..15, got {i}")
     return _family_value(i, t)
 
@@ -676,16 +676,20 @@ _DESCENT_PRIME = 2**31 - 1
 
 
 @lru_cache(maxsize=None)
-def _int_family(index: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-    """(den, nums) of r(index), or of the quartic family for index 0, as
-    integer coefficient lists.  Built on first use, so importing the module
-    and p_family()/r_family() do no extra work."""
+def _forms(index: int) -> Tuple[Tuple[int, ...], ...]:
+    """(n1, n2, n3, n4, den) of r(index), or of the quartic family for
+    index 0, as integer coefficient lists padded with zeros to one length
+    D + 1: the five forms of degree D in (a : b) that the sieve,
+    _family_has, _family_value and _constraints read.  Built on first use,
+    so importing the module and p_family()/r_family() do no extra work."""
     if index:
         den, nums = r_family(index)
     else:
         d, nums = p_family()
         den = UPoly((d,))
-    return tuple(den.int_coeffs()), tuple(tuple(n.int_coeffs()) for n in nums)
+    polys = [f.int_coeffs() for f in (*nums, den)]
+    width = max(map(len, polys))
+    return tuple(tuple(cs) + (0,) * (width - len(cs)) for cs in polys)
 
 
 # -- residue sieve over P^1(F_l) ----------------------------------------------
@@ -737,17 +741,6 @@ def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
     return frozenset(keys), loose
 
 
-@lru_cache(maxsize=None)
-def _homogenized(index: int) -> Tuple[Tuple[int, ...], ...]:
-    """(n1, n2, n3, n4, den) of _int_family(index), padded with zeros to
-    one length: the five forms of one degree for _residue_image and
-    _family_has."""
-    den, nums = _int_family(index)
-    polys = (*nums, den)
-    width = max(map(len, polys))
-    return tuple(cs + (0,) * (width - len(cs)) for cs in polys)
-
-
 def _sieve_tables(families, primes) -> tuple:
     """Per prime ell, (ell, image key -> mask, loose mask), where bit i of a
     mask stands for families[i]."""
@@ -769,7 +762,7 @@ def _sieve_tables(families, primes) -> tuple:
 def _family_sieve() -> tuple:
     """Sieve tables of the quartic family (bit 0) and r1..r15, built on
     the first membership test rather than at import."""
-    return _sieve_tables([_homogenized(i) for i in range(16)], _SIEVE_PRIMES)
+    return _sieve_tables([_forms(i) for i in range(16)], _SIEVE_PRIMES)
 
 
 def _sieve_mask(v: Tuple[int, ...], tables) -> int:
@@ -784,16 +777,16 @@ def _sieve_mask(v: Tuple[int, ...], tables) -> int:
     return mask
 
 
-def _constraints(den, nums, v) -> list[list[int]]:
+def _constraints(forms, v) -> list[list[int]]:
     """The nonzero integer constraints L n_j(t) - A_j den(t), j = 1..4,
-    whose common rational roots t are the parameters at which nums/den
-    takes the point of the primitive vector v = (A1, ..., A4, L)."""
+    whose common rational roots t are the parameters at which the family
+    of forms (_forms) takes the point of the primitive vector
+    v = (A1, ..., A4, L)."""
+    *nums, den = forms
     ell = v[4]
     constraints = []
     for n, x in zip(nums, v):
-        c = [ell * a for a in n] + [0] * (len(den) - len(n))
-        for k, b in enumerate(den):
-            c[k] -= x * b
+        c = [ell * a - x * b for a, b in zip(n, den)]
         while c and c[-1] == 0:
             c.pop()
         if c:
@@ -801,22 +794,12 @@ def _constraints(den, nums, v) -> list[list[int]]:
     return constraints
 
 
-def _parameter_candidates(den, nums, v) -> list[Fraction]:
-    """Rational t with nums(t)/den(t) equal to the point w of the primitive
-    vector v = (A1, ..., A4, L) as an ordered tuple, for integer coefficient
-    lists den and nums, exactly: the rational roots of the gcd of the
-    _constraints.  Membership is exact equality of signed tuples: a family
-    value whose involution image equals w does not count, matching the
-    bundled table's convention.
-
-    This is the exact path, and _family_parameter takes it only when the
-    modular route cannot settle a family.  A constant gcd modulo a prime
-    that keeps the first constraint's degree proves there is no candidate;
-    otherwise the exact gcd decides.  It almost always has degree at most
-    one, so the common case needs no root isolation at all."""
-    constraints = _constraints(den, nums, v)
-    if not constraints or gcd_is_constant_mod(constraints, _DESCENT_PRIME):
-        return []
+def _exact_parameters(constraints) -> list[Fraction]:
+    """The rational common roots of nonzero integer constraints, or a
+    superset of them, exactly.  The primitive gcd (int_poly_gcd) folds in
+    one constraint at a time and stops once its degree is at most one: the
+    root of a linear gcd is the only candidate, a constant leaves none, and
+    only a gcd of higher degree needs _rational_roots."""
     g = constraints[0]
     for c in constraints[1:]:
         if len(g) <= 2:
@@ -831,22 +814,23 @@ def _parameter_candidates(den, nums, v) -> list[Fraction]:
 
 def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
     """The t at which family index (0 the quartic family, else r(index))
-    takes the point of the primitive vector v, or None.
+    takes the point of the primitive vector v, or None.  Membership is
+    exact equality of signed tuples: a family value whose involution image
+    is the point does not count, matching the bundled table's convention.
 
-    The constraints are reduced mod _DESCENT_PRIME and their gcd is taken
-    there until it has degree at most one (gcd_mod).  Since the first
-    constraint's leading coefficient survives mod p, the exact primitive
-    gcd has at most that degree.  Degree 0 proves that there is no
-    candidate.  Degree 1 has one root r mod p; rebuilt as a/b with |a|,
-    b <= sqrt(p/2) and confirmed by the exact _family_has, that t is a
-    common root of the constraints, so the exact gcd has degree one with
-    root t, and t is the only candidate.  Only when p divides the leading
-    coefficient, the gcd mod p has degree two or more, the root has no
-    fraction within the bound or the confirmation fails does the input
-    send the family to the unchanged exact path (_parameter_candidates,
-    then _family_has on each candidate)."""
-    den, nums = _int_family(index)
-    constraints = _constraints(den, nums, v)
+    The constraints (_constraints) are built once.  Their gcd mod
+    _DESCENT_PRIME is taken until it has degree at most one (gcd_mod).
+    Since the first constraint's leading coefficient survives mod p, the
+    exact primitive gcd has at most that degree.  Degree 0 proves that
+    there is no candidate.  Degree 1 has one root r mod p; rebuilt as a/b
+    with |a|, b <= sqrt(p/2) and confirmed by the exact _family_has, that
+    t is a common root of the constraints, so the exact gcd has degree one
+    with root t, and t is the only candidate.  Every other outcome (p
+    divides the leading coefficient, the gcd mod p has degree two or more,
+    the root has no fraction within the bound or the confirmation fails)
+    runs the exact gcd on the same constraints (_exact_parameters), and
+    _family_has decides each candidate."""
+    constraints = _constraints(_forms(index), v)
     if not constraints:
         return None
     g = gcd_mod(constraints, _DESCENT_PRIME, until=1)
@@ -857,10 +841,9 @@ def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
             t = rational_reconstruction(-g[0], _DESCENT_PRIME)
             if t is not None and _family_has(index, t, v):
                 return t
-    for t in _parameter_candidates(den, nums, v):
-        if _family_has(index, t, v):
-            return t
-    return None
+    return next(
+        (t for t in _exact_parameters(constraints) if _family_has(index, t, v)), None
+    )
 
 
 def _form_value(cs: Sequence[int], a: int, b: int) -> int:
@@ -879,7 +862,7 @@ def _family_has(index: int, t: Fraction, v: Tuple[int, ...]) -> bool:
     n_j(t)/den(t) = N_j(a, b)/Den(a, b), so the test is Den(a, b) != 0 and
     N_j(a, b) L = A_j Den(a, b) for j = 1..4."""
     *nums, den = (
-        _form_value(cs, t.numerator, t.denominator) for cs in _homogenized(index)
+        _form_value(cs, t.numerator, t.denominator) for cs in _forms(index)
     )
     ell = v[4]
     return den != 0 and all(n * ell == x * den for n, x in zip(nums, v))
@@ -904,7 +887,8 @@ def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
     mod _DESCENT_PRIME: a constant proves that there is no candidate, and
     a degree-one gcd gives its root as a fraction of small height, which
     one exact _family_has test confirms as the only candidate.  The exact
-    gcd runs only on what that cannot settle (see _family_parameter).
+    gcd runs, on the same constraints, only on what that cannot settle
+    (see _family_parameter).
     """
     mask = _sieve_mask(v, _family_sieve())
     for i in range(16):

@@ -12,9 +12,9 @@ polynomial families lives.
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
 Its integer core also serves integer coefficient lists directly.  gcd_mod is
-the one modular Euclid: gcd_is_constant_mod, the certificate that lets
-callers skip the exact gcd when it would only prove a constant, runs on it,
-and rational_reconstruction turns the root of a degree-one gcd mod p into a
+the one modular Euclid: a constant gcd mod p certifies a constant gcd over
+the rationals, so callers can skip the exact gcd, and
+rational_reconstruction turns the root of a degree-one gcd mod p into a
 fraction.  horner evaluates any coefficient sequence, UPoly coefficients and
 plain integer lists alike.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "upoly_gcd",
     "int_poly_gcd",
     "gcd_mod",
-    "gcd_is_constant_mod",
     "rational_reconstruction",
 ]
 
@@ -343,15 +342,6 @@ def gcd_mod(
             g, h = h, _rem_mod(g, h, p)
     inv = pow(g[-1], -1, p)
     return [c * inv % p for c in g]
-
-
-def gcd_is_constant_mod(polys: Sequence[Sequence[int]], p: int) -> Optional[bool]:
-    """Whether the gcd of integer polynomials is constant modulo the prime
-    p, by gcd_mod; None when p divides the leading coefficient of the first
-    one.  True certifies a constant gcd over the rationals; False proves
-    nothing, and the exact gcd has to decide."""
-    g = gcd_mod(polys, p)
-    return None if g is None else len(g) == 1
 
 
 def rational_reconstruction(r: int, p: int) -> Optional[Fraction]:

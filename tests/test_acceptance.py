@@ -8,13 +8,16 @@ agree at that bound.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
+from buchi4 import families
 from buchi4.curves import curve_rhs, is_squarefree, scan_integer_points
 from buchi4.families import (
     F_POLY,
     NonIntegral,
+    classify,
     extends_left,
     extends_right,
     growth_check,
@@ -127,6 +130,15 @@ def desk_pipeline():
     return run_pipeline(30000)
 
 
+# sha256 prefix of the desk CSV (the 100 rows at x2 <= 30000, header included)
+DESK_CSV_DIGEST = "de0a037703aa3bc4"
+
+
+def _csv_digest(records):
+    csv = "\n".join(records_csv(records)) + "\n"
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
 def test_criterion_08_desk_scale_table_reproduction(desk_pipeline):
     sporadic = [
         r for r in desk_pipeline if r.classification.kind == "sporadic"
@@ -157,8 +169,16 @@ def test_criterion_08_desk_scale_table_reproduction(desk_pipeline):
 
     # every verdict, byte for byte: the CSV of the 100 desk rows, header
     # included
-    csv = "\n".join(records_csv(desk_pipeline)) + "\n"
-    assert hashlib.sha256(csv.encode()).hexdigest().startswith("de0a037703aa3bc4")
+    assert _csv_digest(desk_pipeline).startswith(DESK_CSV_DIGEST)
+
+
+def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline, monkeypatch):
+    # No desk row is a lift, yet the mu2 chains of xi(1, t) run long there
+    # (192 steps at t = 22) and reach the 200-step cap from t = 23, past
+    # the desk bound.  Cut at 8 steps, every desk verdict is unchanged.
+    monkeypatch.setattr(families, "_MAX_CHAIN", 8)
+    records = [replace(r, classification=classify(r.seq)) for r in desk_pipeline]
+    assert _csv_digest(records).startswith(DESK_CSV_DIGEST)
 
 
 def test_engines_agree_at_the_desk_bound(desk_pipeline):

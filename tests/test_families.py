@@ -14,14 +14,15 @@ from buchi4.families import (
     _SIEVE_PRIMES,
     Classification,
     _chain_representatives,
+    _constraints,
     _descend,
+    _exact_parameters,
     _family_has,
     _family_parameter,
     _family_sieve,
-    _int_family,
+    _forms,
     _invert_family,
     _invert_xi,
-    _parameter_candidates,
     _rational_roots,
     _residue_image,
     _sieve_mask,
@@ -64,7 +65,7 @@ from buchi4.maps import (
     on_surface,
     to_vector,
 )
-from buchi4.poly import UPoly, gcd_is_constant_mod, gcd_mod, horner, upoly_gcd
+from buchi4.poly import UPoly, gcd_mod, horner, upoly_gcd
 from buchi4.search import bundled_table
 
 # the three low rows, coefficients constant-first
@@ -472,7 +473,7 @@ def test_parameter_candidates_find_members_at_integer_and_rational_t():
                 value = _family_value(index, t)
             except DenominatorVanishes:
                 continue
-            got = _parameter_candidates(*_int_family(index), to_vector(value))
+            got = _exact_parameters(_constraints(_forms(index), to_vector(value)))
             assert Fraction(t) in got, (index, t, got)
             assert got == _reference_candidates(*_family(index), value)
 
@@ -493,22 +494,20 @@ def _table_points_and_lifts():
 def _exact_parameter(index, v):
     """_family_parameter by the exact path alone: int_poly_gcd candidates,
     the first one that _family_has accepts."""
-    den, nums = _int_family(index)
-    return next(
-        (t for t in _parameter_candidates(den, nums, v) if _family_has(index, t, v)),
-        None,
-    )
+    candidates = _exact_parameters(_constraints(_forms(index), v))
+    return next((t for t in candidates if _family_has(index, t, v)), None)
 
 
-def _count_exact_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to families.<name>."""
     calls = []
-    exact = families._parameter_candidates
+    wrapped = getattr(families, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return exact(*args)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(families, "_parameter_candidates", counted)
+    monkeypatch.setattr(families, name, counted)
     return calls
 
 
@@ -528,17 +527,23 @@ def test_modular_route_equals_the_exact_path_on_chain_nodes(monkeypatch):
         for v in nodes for index in FAMILY_INDICES
     }
     assert sum(t is not None for t in want.values()) >= 90
-    calls = _count_exact_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "_exact_parameters")
+    built = _count_calls(monkeypatch, "_constraints")
+    modular = _count_calls(monkeypatch, "gcd_mod")
     for (index, v), t in want.items():
-        calls.clear()
+        for log in (calls, built, modular):
+            log.clear()
         assert _family_parameter(index, v) == t, (index, v)
         # a hit at a parameter within the bound is settled mod p: its
         # degree-one gcd is rebuilt and confirmed
         assert t is None or not calls, (index, v)
+        # one pass: the constraints are built and reduced mod p at most
+        # once, and the exact fallback reuses them
+        assert len(built) <= 1 and len(modular) <= 1, (index, v)
 
 
 def test_members_beyond_the_reconstruction_bound_take_the_exact_path(monkeypatch):
-    calls = _count_exact_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "_exact_parameters")
     checked = 0
     for index in FAMILY_INDICES:
         for t in BEYOND_RECONSTRUCTION:
@@ -562,10 +567,10 @@ def test_parameter_candidates_match_the_fraction_path_off_the_families():
     rows, points = _table_points_and_lifts()
     assert len(rows) == 57 and len(points) > 2 * len(rows)
     for index in FAMILY_INDICES:
-        den, nums = _int_family(index)
+        forms = _forms(index)
         ref_den, ref_nums = _family(index)
         for pt in points:
-            got = _parameter_candidates(den, nums, to_vector(pt))
+            got = _exact_parameters(_constraints(forms, to_vector(pt)))
             assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
 
 
@@ -587,7 +592,7 @@ def _assert_sieve_keeps(index, t):
 def test_sieve_keeps_every_family_value_in_its_own_bit():
     den_roots = 0
     for index in FAMILY_INDICES:
-        den, _ = _int_family(index)
+        den = _forms(index)[4]
         for t in range(-40, 41):
             _assert_sieve_keeps(index, t)
         # a denominator divisible by every sieve prime: t reduces to (1 : 0)
@@ -621,8 +626,9 @@ def _reference_invert_family(pt, mask=-1):
     for index in FAMILY_INDICES:
         if not mask >> index & 1:
             continue
-        den, nums = _int_family(index)
-        for t in _parameter_candidates(den, nums, to_vector(pt)):
+        forms = _forms(index)
+        den = forms[4]
+        for t in _exact_parameters(_constraints(forms, to_vector(pt))):
             if horner(den, t) and _family_value(index, t) == pt:
                 t = t.numerator if t.denominator == 1 else t
                 if index:
@@ -675,20 +681,18 @@ def test_gcd_certificate_helper():
     # coefficient lists, constant term first
     f = [2, 3, 1]  # (t + 1)(t + 2)
     for p in (CERT_PRIME, 2305843009213693951):
-        assert gcd_is_constant_mod([f, [3, 1]], p) is True
-        assert gcd_is_constant_mod([f, [5, 6, 1]], p) is False  # (t+1)(t+5)
-        assert gcd_is_constant_mod([f, [6, 5, 1], [3, 4, 1]], p) is True
-        assert gcd_is_constant_mod([[7]], p) is True
+        assert gcd_mod([f, [3, 1]], p) == [1]
+        assert len(gcd_mod([f, [5, 6, 1]], p)) >= 2  # (t+1)(t+5)
+        assert gcd_mod([f, [6, 5, 1], [3, 4, 1]], p) == [1]
+        assert gcd_mod([[7]], p) == [1]
     # 7 divides the leading coefficient of the first polynomial only
-    assert gcd_is_constant_mod([[1, 0, 7], [1, 1]], 7) is None
-    assert gcd_is_constant_mod([[1, 1], [1, 0, 7]], 7) is True
+    assert gcd_mod([[1, 0, 7], [1, 1]], 7) is None
+    assert gcd_mod([[1, 1], [1, 0, 7]], 7) == [1]
     # a common factor modulo p alone: t + 1 and t + 8 agree mod 7
-    assert gcd_is_constant_mod([[1, 1], [8, 1]], 7) is False
-    # the monic gcd itself, None where gcd_is_constant_mod gives None, and a
-    # stop once the degree is at most until
+    assert len(gcd_mod([[1, 1], [8, 1]], 7)) >= 2
+    # the monic gcd itself, and a stop once the degree is at most until
     assert gcd_mod([f, [24, 11, 1]], 7) == [1, 1]  # t + 8 = t + 1 mod 7
     assert gcd_mod([[4, 6, 2], [24, 11, 1]], CERT_PRIME) == [1]
-    assert gcd_mod([[1, 0, 7], [1, 1]], 7) is None
     assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME) == [1]
     assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME, until=1) == [1, 1]
     assert gcd_mod([[-2, 0, 2]], CERT_PRIME) == [CERT_PRIME - 1, 0, 1]
