@@ -5,14 +5,18 @@ bound.  `sieve_square_plus_one` gets all of them at once from the classical
 sieve of x^2 + 1, which also hands out a square root of -1 modulo every
 prime it finds, so no primality test and no general factoring is needed.
 `two_square_reps` decomposes a single integer by trial division.  Both feed
-one Gaussian-integer product that lists the representations.  Everything is
-exact and stdlib-only.
+one Gaussian-integer product, `reps_from_primes`, that lists the
+representations; a caller that meets the same prime many times finds its
+Gaussian prime once with `gaussian_prime`.  Everything is exact and
+stdlib-only.
 """
 
 from __future__ import annotations
 
 __all__ = [
+    "gaussian_prime",
     "gaussian_reps",
+    "reps_from_primes",
     "sieve_square_plus_one",
     "sqrt_minus_one_mod",
     "two_square_reps",
@@ -71,9 +75,10 @@ def _gaussian_gcd(z, w):
     return z
 
 
-def _gaussian_mul(z, w):
-    (a, b), (c, d) = z, w
-    return (a * c - b * d, a * d + b * c)
+def gaussian_prime(p: int, root: int) -> tuple[int, int]:
+    """The Gaussian prime a + bi of norm p that divides root + i, for a
+    prime p = 1 mod 4 and root^2 = -1 mod p."""
+    return _gaussian_gcd((p, 0), (root, 1))
 
 
 def gaussian_reps(
@@ -82,24 +87,50 @@ def gaussian_reps(
     """All (r, s) with 0 <= r <= s and r^2 + s^2 = real^2 2^two_exp
     prod p^e, in ascending order, where split lists (p, e, root) for
     distinct primes p = 1 mod 4 and root^2 = -1 mod p."""
-    base = (real, 0)
-    for _ in range(two_exp):
-        base = _gaussian_mul(base, (1, 1))
-    reps = {base}
-    for p, e, root in split:
-        pi = _gaussian_gcd((p, 0), (root, 1))
-        pibar = (pi[0], -pi[1])
-        powers = []
-        for j in range(e + 1):
-            z = (1, 0)
-            for _ in range(j):
-                z = _gaussian_mul(z, pi)
-            for _ in range(e - j):
-                z = _gaussian_mul(z, pibar)
-            powers.append(z)
-        reps = {_gaussian_mul(z, w) for z in reps for w in powers}
-    out = {tuple(sorted((abs(a), abs(b)))) for a, b in reps}
-    return sorted(out)
+    return reps_from_primes(
+        real, two_exp, [(gaussian_prime(p, root), e) for p, e, root in split]
+    )
+
+
+def reps_from_primes(
+    real: int, two_exp: int, primes: list[tuple[tuple[int, int], int]]
+) -> list[tuple[int, int]]:
+    """gaussian_reps with each split prime p^e given as (pi, e), pi its
+    Gaussian prime, so that a caller can find each pi once.
+
+    Every z = a + bi of that norm is a unit times real (1+i)^two_exp
+    times, for each prime, pi^j pibar^(e-j), and (|a|, |b|) sorted forgets
+    units and conjugation.  (1+i)^k is a unit times 2^(k//2) (1+i)^(k%2), and
+    conjugating z flips every j to e - j, so the first prime needs only
+    j <= e // 2; when its e is odd, no pair comes up twice.
+    pi^j pibar^(e-j) is p^m times pi^(j-m) pibar^(e-j-m), m = min(j, e - j),
+    so one list of powers of pi gives every factor."""
+    s = real << (two_exp >> 1)
+    zs = [(s, s) if two_exp & 1 else (s, 0)]
+    first = True
+    for (a, b), e in primes:
+        if e == 1:  # most primes: no table of powers
+            factors = [(a, -b)] if first else [(a, -b), (a, b)]
+        else:
+            p = a * a + b * b
+            powers = [(1, 0)]
+            for _ in range(e):
+                c, d = powers[-1]
+                powers.append((a * c - b * d, a * d + b * c))
+            factors = []
+            for m in range(e // 2 + 1):
+                c, d = powers[e - 2 * m]
+                q = p**m
+                factors.append((q * c, -q * d))  # p^m pibar^(e-2m)
+                if not first and 2 * m < e:
+                    factors.append((q * c, q * d))  # p^m pi^(e-2m)
+        first = False
+        zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
+    zs = [(abs(u), abs(v)) for u, v in zs]
+    pairs = [(u, v) if u <= v else (v, u) for u, v in zs]
+    if primes and not primes[0][1] & 1:
+        pairs = set(pairs)
+    return sorted(pairs)
 
 
 def two_square_reps(n: int) -> list[tuple[int, int]]:

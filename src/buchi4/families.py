@@ -980,7 +980,10 @@ def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
     representative eta, repeatedly peel one inverse map application off
     eta(pt) while the height strictly decreases, testing the base families
     at every chain node.  Towers sit inside orbits on which the map is
-    expansive, so their peeled heights do decrease monotonically.
+    expansive, so their peeled heights do decrease monotonically.  Each
+    chain stops after _MAX_CHAIN = 200 steps even if the height is still
+    falling, and nothing reports that cut-off: a tower more than 200 steps
+    above its base is not found.
 
     One direction suffices.  The twist Z of zeta = phi Z is an involution
     that commutes with -1 and tau, so zeta^-1 = Z zeta Z, and the forward
@@ -1050,11 +1053,13 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     Starting from the increasing-positive form of seq, apply the inverse
     map and renormalize while the height strictly decreases, collecting
     every point visited (the input's normalized form first).  The chain
-    stops at a trivial point, at a vanishing denominator, or when the
-    height stops dropping; classify() chases the sign/order variants of
-    this chain, this is the one-line diagnostic view.  The walk is the one
-    _descend takes, on primitive integer vectors; each point comes back
-    with int coordinates where they are whole and Fractions elsewhere.
+    stops at a trivial point, at a vanishing denominator, when the height
+    stops dropping, or after _MAX_CHAIN = 200 steps (201 points), the same
+    cap as in _descend, and the result does not say which stop it hit.
+    classify() chases the sign/order variants of this chain, this is the
+    one-line diagnostic view.  The walk is the one _descend takes, on
+    primitive integer vectors; each point comes back with int coordinates
+    where they are whole and Fractions elsewhere.
     """
     w = _surface_vector(seq)
     norm = _normalize(w)

@@ -2,13 +2,14 @@
 
 A strictly increasing positive quadruple on the surface is pinned down by
 (x2, x3): the defining equations force x1^2 = 2 x2^2 - x3^2 + 2 and
-x4^2 = 2 x3^2 - x2^2 + 2, so enumeration walks x3 over the window
-(x2, isqrt(2 x2^2 + 1)] and keeps the pairs where both radicands are
-perfect squares.  The default engine prunes the window by the residues a
-square can take modulo 64 before doing any exact work; the two-squares
-engine instead writes 2(x2^2 + 1) = x1^2 + x3^2 in every way, from one
-sieve of x^2 + 1 that factors all x2 up to the bound at once.  Both
-produce identical sorted output.
+x4^2 = 2 x3^2 - x2^2 + 2, so a search looks for the x3 in the window
+(x2, isqrt(2 x2^2 + 1)] where both radicands are perfect squares.  The
+default two-squares engine writes 2(x2^2 + 1) = x1^2 + x3^2 in every way,
+from one sieve of x^2 + 1 that factors all x2 up to the bound at once.
+The window engine walks x3 over the window and prunes it by the residues
+a square can take modulo 64 before doing any exact work; its time grows
+about as the square of the bound, and it stays as an independent check of
+the sieve.  Both produce identical sorted output.
 
 Search results are classified, tested for extension on both sides, and
 compared against the bundled table of 121 reference rows.
@@ -22,7 +23,7 @@ from math import isqrt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square
-from .factorint import gaussian_reps, sieve_square_plus_one
+from .factorint import gaussian_prime, reps_from_primes, sieve_square_plus_one
 from .families import Classification, classify, extends_left, extends_right, is_trivial
 from .maps import on_surface
 
@@ -74,27 +75,41 @@ def _window_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
 def _two_squares_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
     out = []
     factors = sieve_square_plus_one(x2_hi)
+    primes = {}  # p -> its Gaussian prime, for the p that come back
     for x2 in range(x2_lo, x2_hi + 1):
+        split = factors[x2]
+        if len(split) == 1 and split[0][1] == 1:
+            # x2^2 + 1 = p or 2p: its one representation is the trivial
+            # (x2 - 1, x2 + 1)
+            continue
+        gauss = []
+        for p, e, root in split:
+            pi = primes.get(p)
+            if pi is None:
+                pi = gaussian_prime(p, root)
+                if p - root <= x2_hi:  # p divides x^2 + 1 again at x = p - root
+                    primes[p] = pi
+            gauss.append((pi, e))
         x2_sq = x2 * x2
-        # 2 (x2^2 + 1), with one more 2 when x2 is odd
-        for x1, x3 in gaussian_reps(1, 1 + (x2 & 1), factors[x2]):
-            if not (0 < x1 < x2 < x3):
+        # 2 (x2^2 + 1), with one more 2 when x2 is odd; r <= s forces
+        # r < x2 < s, and r = x2 - 1 forces the trivial (x2 - 1, ..., x2 + 2)
+        for x1, x3 in reps_from_primes(1, 1 + (x2 & 1), gauss):
+            if x1 == 0 or x1 == x2 - 1:
                 continue
             x4 = as_perfect_square(2 * x3 * x3 - x2_sq + 2)
-            if x4 is None:
-                continue
-            seq = (x1, x2, x3, x4)
-            if not is_trivial(seq):
-                out.append(seq)
+            if x4 is not None:
+                out.append((x1, x2, x3, x4))
     return out
 
 
 _ENGINES = {"window": _window_chunk, "two-squares": _two_squares_chunk}
 
 
-def enumerate_sequences(x2_max: int, engine: str = "window") -> List[Seq]:
+def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     """All non-trivial strictly increasing positive quadruples with
-    x2 <= x2_max, sorted by (x1, x2), duplicate-free."""
+    x2 <= x2_max, sorted by (x1, x2), duplicate-free.  engine is
+    "two-squares" (the sieve, the default) or "window" (the windowed
+    scan, about as slow as x2_max^2, kept as an independent check)."""
     if x2_max < 2:
         raise ValueError("bound must be at least 2")
     chunk = _ENGINES.get(engine)
@@ -134,8 +149,10 @@ class SearchRecord:
         }
 
 
-def run_pipeline(x2_max: int, engine: str = "window") -> List[SearchRecord]:
-    """Enumerate, classify, and extension-test everything up to the bound."""
+def run_pipeline(x2_max: int, engine: str = "two-squares") -> List[SearchRecord]:
+    """Enumerate, classify, and extension-test everything up to the bound,
+    enumerating with engine as enumerate_sequences does (the sieve by
+    default)."""
     return [
         SearchRecord(
             seq=seq,

@@ -3,7 +3,7 @@
 from math import isqrt
 from random import Random
 
-from buchi4.factorint import sieve_square_plus_one, two_square_reps
+from buchi4.factorint import gaussian_reps, sieve_square_plus_one, two_square_reps
 
 
 def brute_reps(n):
@@ -40,3 +40,22 @@ def test_sieve_factors_multiply_back_with_roots():
             prod *= p**e
         assert prod == x * x + 1, x
         assert len({p for p, _, _ in fac}) == len(fac)
+
+
+def test_gaussian_reps_from_the_sieve_match_brute_force():
+    # the search's call: 2 (x^2 + 1) from the sieve's odd factors of x^2 + 1
+    factors = sieve_square_plus_one(3000)
+    for x in range(2, 3001):
+        reps = gaussian_reps(1, 1 + (x & 1), factors[x])
+        assert reps == brute_reps(2 * x * x + 2), x
+
+
+def test_one_split_prime_gives_only_the_trivial_representation():
+    # x^2 + 1 = p or 2p, p prime: the search skips x without decomposing it
+    factors = sieve_square_plus_one(3000)
+    lone = [
+        x for x in range(2, 3001) if len(factors[x]) == 1 and factors[x][0][1] == 1
+    ]
+    assert sum(x <= 1500 for x in lone) == 344
+    for x in lone:
+        assert brute_reps(2 * x * x + 2) == [(x - 1, x + 1)], x

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from buchi4.arith import as_perfect_square
+from buchi4.factorint import gaussian_reps, sieve_square_plus_one
 from buchi4.families import is_trivial
 from buchi4.maps import on_surface
 from buchi4.search import (
@@ -55,8 +57,25 @@ def test_enumeration_is_exhaustive_against_the_table():
 
 
 def test_engines_agree():
-    reference = enumerate_sequences(1500)
+    reference = enumerate_sequences(1500, engine="window")
     assert enumerate_sequences(1500, engine="two-squares") == reference
+
+
+def test_trivial_filter_agrees_with_is_trivial():
+    # the sieve engine drops x1 = x2 - 1 instead of calling is_trivial
+    factors = sieve_square_plus_one(3000)
+    expected = []
+    for x2 in range(2, 3001):
+        for x1, x3 in gaussian_reps(1, 1 + (x2 & 1), factors[x2]):
+            x4 = as_perfect_square(2 * x3 * x3 - x2 * x2 + 2)
+            if x1 == 0 or x4 is None:
+                assert x1 != x2 - 1, (x1, x2, x3)
+                continue
+            seq = (x1, x2, x3, x4)
+            assert is_trivial(seq) == (x1 == x2 - 1), seq
+            if x1 != x2 - 1:
+                expected.append(seq)
+    assert enumerate_sequences(3000, engine="two-squares") == sorted(expected)
 
 
 def test_bad_arguments():
