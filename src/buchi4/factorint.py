@@ -1,52 +1,105 @@
 """Sums of two squares over the Gaussian integers.
 
 The search needs the factorization of 2(x^2 + 1) for every x up to a
-bound.  `sieve_square_plus_one` gets all of them at once from the classical
-sieve of x^2 + 1, which also hands out a square root of -1 modulo every
-prime it finds, so no primality test and no general factoring is needed.
-`two_square_reps` decomposes a single integer by trial division.  Both feed
-one Gaussian-integer product, `reps_from_primes`, that lists the
-representations; a caller that meets the same prime many times finds its
-Gaussian prime once with `gaussian_prime`.  Everything is exact and
-stdlib-only.
+bound.  `gaussian_factorizations` streams them from a segmented sieve of
+x^2 + 1, one block of x at a time, as the Gaussian primes that divide
+x + i; the sieve hands out a square root of -1 modulo every prime it
+finds, so no primality test and no general factoring is needed, and its
+memory is one block plus the primes that come back later.
+`two_square_reps` decomposes a single integer by trial division.  Both
+feed one Gaussian-integer product, `gaussian_products`, that
+`reps_from_primes` turns into the list of representations.  Everything is
+exact and stdlib-only.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+from typing import Iterator
+
 __all__ = [
+    "gaussian_factorizations",
     "gaussian_prime",
+    "gaussian_products",
     "gaussian_reps",
+    "prime_power_factors",
     "reps_from_primes",
-    "sieve_square_plus_one",
     "sqrt_minus_one_mod",
     "two_square_reps",
 ]
 
+GaussianPrimes = list[tuple[tuple[int, int], int]]
 
-def sieve_square_plus_one(n_max: int) -> list[list[tuple[int, int, int]]]:
-    """For 0 <= x <= n_max, the odd prime factors of x^2 + 1 as (p, e, r):
-    p^e exactly divides x^2 + 1 and r is the least root of r^2 = -1 mod p.
-    The factor 2 is left out: it divides x^2 + 1 once for odd x, else not.
+# values of x per sieve block
+_BLOCK = 1 << 14
 
-    rem[x] starts as x^2 + 1 with the 2 taken out.  Walking x upward, every
-    prime whose least root is below x has been divided out of rem[x] at
-    that root, and two primes with least root x would each exceed 2x, so
-    their product would exceed x^2 + 1.  Hence rem[x] is 1 or a prime p with
-    least root x, divided out in turn at x + kp and p - x + kp."""
-    rem = [x * x + 1 >> (x & 1) for x in range(n_max + 1)]
-    factors: list[list[tuple[int, int, int]]] = [[] for _ in range(n_max + 1)]
-    for x in range(1, n_max + 1):
-        p = rem[x]
-        if p == 1:
-            continue
-        for start in (x, p - x):
-            for y in range(start, n_max + 1, p):
-                q, e = rem[y] // p, 1
-                while q % p == 0:
-                    q, e = q // p, e + 1
-                rem[y] = q
-                factors[y].append((p, e, x))
-    return factors
+
+def _divide_out(rem, found, lo, hi, p, pi, y):
+    """Divide p out of rem at y, y + p, ... below hi, rem[0] standing for
+    x = lo, and record (pi, e) for each, p^e the power taken out.  Returns
+    the first of those x at or past hi."""
+    while y < hi:
+        i = y - lo
+        q, e = rem[i] // p, 1
+        while q % p == 0:
+            q, e = q // p, e + 1
+        rem[i] = q
+        found[i].append((pi, e))
+        y += p
+    return y
+
+
+def gaussian_factorizations(n_max: int) -> Iterator[tuple[int, GaussianPrimes]]:
+    """Yield (x, [(pi, e), ...]) for 2 <= x <= n_max in ascending order, one
+    pair for each odd prime p of x^2 + 1: pi = a + bi is the Gaussian prime
+    of norm p that divides x + i, and pi^e exactly divides it, so x + i is a
+    unit times (1 + i)^(x & 1) times the product of the pi^e.  An x whose
+    x^2 + 1 is p or 2p, p prime, is left out: 2(x^2 + 1) is then only
+    (x - 1)^2 + (x + 1)^2.
+
+    rem holds x^2 + 1 with the 2 taken out, for one block of _BLOCK values
+    of x.  Walking x upward, every prime whose least root is below x has
+    been divided out of rem at x, and two primes with least root x would
+    each exceed 2x, so their product would exceed x^2 + 1.  Hence what is
+    left at x is 1 or a prime p with least root x, found there once.  Then
+    pi divides x' + i again at x' = x + kp, and conj(pi) does at
+    x' = p - x + kp, so p is carried from block to block as
+    [p, pi, conj(pi), next x' = x mod p, next x' = -x mod p] until both
+    pass n_max.  A p that never comes back and is all of x^2 + 1 but the 2
+    is skipped without finding pi."""
+    live: list[list] = []
+    for lo in range(2, n_max + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_max + 1)
+        rem = [x * x + 1 >> (x & 1) for x in range(lo, hi)]
+        found: list[GaussianPrimes] = [[] for _ in range(lo, hi)]
+        carried = live
+        live = []
+        for prime in carried:
+            p, pi, pibar, y, z = prime
+            prime[3] = y = _divide_out(rem, found, lo, hi, p, pi, y)
+            prime[4] = z = _divide_out(rem, found, lo, hi, p, pibar, z)
+            if y <= n_max or z <= n_max:
+                live.append(prime)
+        for x in range(lo, hi):
+            p = rem[x - lo]
+            primes = found[x - lo]
+            if p > 1:
+                comes_back = p - x <= n_max
+                if not (primes or comes_back):
+                    continue  # x^2 + 1 is p or 2p, and p does not come back
+                pi = gaussian_prime(p, x)
+                if comes_back:
+                    pibar = (pi[0], -pi[1])
+                    y = _divide_out(rem, found, lo, hi, p, pi, x + p)
+                    z = _divide_out(rem, found, lo, hi, p, pibar, p - x)
+                    if y <= n_max or z <= n_max:
+                        live.append([p, pi, pibar, y, z])
+                if not primes:
+                    continue  # x^2 + 1 is p or 2p
+                primes.append((pi, 1))
+            elif len(primes) == 1 and primes[0][1] == 1:
+                continue  # x^2 + 1 = 2p with p found below x, which is x = 3
+            yield x, primes
 
 
 def sqrt_minus_one_mod(p: int) -> int:
@@ -59,26 +112,87 @@ def sqrt_minus_one_mod(p: int) -> int:
     return pow(a, (p - 1) // 4, p)
 
 
-def _gaussian_gcd(z, w):
-    """gcd in Z[i] by Euclidean division with rounded quotients."""
-    while w != (0, 0):
-        (a, b), (c, d) = z, w
-        norm = c * c + d * d
-        # round((a+bi)(c-di)/norm) componentwise
-        re_num = a * c + b * d
-        im_num = b * c - a * d
-        qr = (2 * re_num + norm) // (2 * norm)
-        qi = (2 * im_num + norm) // (2 * norm)
-        rr = a - (qr * c - qi * d)
-        ri = b - (qr * d + qi * c)
-        z, w = w, (rr, ri)
-    return z
-
-
 def gaussian_prime(p: int, root: int) -> tuple[int, int]:
     """The Gaussian prime a + bi of norm p that divides root + i, for a
-    prime p = 1 mod 4 and root^2 = -1 mod p."""
-    return _gaussian_gcd((p, 0), (root, 1))
+    prime p = 1 mod 4 and root^2 = -1 mod p.
+
+    Cornacchia: Euclid's algorithm on (p, root) reaches a first remainder
+    a < sqrt(p), and then p - a^2 = b^2.  In Z[i] / (a + bi) = F_p, i is
+    -a / b, so a + bi divides root + i exactly when root b = a mod p;
+    otherwise its conjugate does."""
+    r, a = p, root % p
+    while a * a > p:
+        r, a = a, r % a
+    b = isqrt(p - a * a)
+    if (root * b - a) % p:
+        b = -b
+    return a, b
+
+
+def prime_power_factors(
+    pi: tuple[int, int], e: int, first: bool
+) -> list[tuple[int, int]]:
+    """The factors of norm p^e that the split prime p^e contributes to a
+    product, pi = a + bi its Gaussian prime: p^m conj(pi)^(e-2m) for
+    0 <= m <= e // 2, conj(pi)^e first, then, unless first, their
+    conjugates p^m pi^(e-2m) for 2m < e.  Conjugating a product flips the
+    choice at every prime, so the first prime of a product needs only one
+    side."""
+    a, b = pi
+    if e == 1:  # most primes: no table of powers
+        return [(a, -b)] if first else [(a, -b), (a, b)]
+    p = a * a + b * b
+    powers = [(1, 0)]
+    for _ in range(e):
+        c, d = powers[-1]
+        powers.append((a * c - b * d, a * d + b * c))
+    factors = []
+    for m in range(e // 2 + 1):
+        c, d = powers[e - 2 * m]
+        q = p**m
+        factors.append((q * c, -q * d))
+    if not first:
+        factors += [(c, -d) for c, d in factors[: (e + 1) // 2]]
+    return factors
+
+
+def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, int]]:
+    """The Gaussian integers z = a + bi, one per pair {z, conj(z)} up to
+    units, of norm 2^two_exp prod p^e, where primes lists (pi, e) for
+    distinct split primes p, pi the Gaussian prime of p.  zs[0] is the
+    all-conjugate product, (1 + i)^two_exp prod conj(pi)^e up to a unit.
+
+    Every such z is a unit times (1+i)^two_exp times, for each prime,
+    pi^j conj(pi)^(e-j), and (1+i)^k is a unit times 2^(k//2) (1+i)^(k%2).
+    pi^j conj(pi)^(e-j) is p^m times pi^(j-m) conj(pi)^(e-j-m),
+    m = min(j, e - j), which is what prime_power_factors lists.  When the
+    first prime's e is odd, no z comes up twice up to units and
+    conjugation; when it is even, its middle factor p^(e/2) is its own
+    conjugate, and a z can."""
+    s = 1 << (two_exp >> 1)
+    zs = [(s, s) if two_exp & 1 else (s, 0)]
+    first = True
+    for pi, e in primes:
+        factors = prime_power_factors(pi, e, first)
+        first = False
+        zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
+    return zs
+
+
+def reps_from_primes(
+    real: int, two_exp: int, primes: GaussianPrimes
+) -> list[tuple[int, int]]:
+    """gaussian_reps with each split prime p^e given as (pi, e), pi its
+    Gaussian prime, so that a caller can find each pi once: the products
+    of gaussian_products times real, as (|a|, |b|) sorted, which forgets
+    units and conjugation."""
+    pairs = []
+    for u, v in gaussian_products(two_exp, primes):
+        u, v = real * abs(u), real * abs(v)
+        pairs.append((u, v) if u <= v else (v, u))
+    if primes and not primes[0][1] & 1:
+        pairs = set(pairs)
+    return sorted(pairs)
 
 
 def gaussian_reps(
@@ -90,47 +204,6 @@ def gaussian_reps(
     return reps_from_primes(
         real, two_exp, [(gaussian_prime(p, root), e) for p, e, root in split]
     )
-
-
-def reps_from_primes(
-    real: int, two_exp: int, primes: list[tuple[tuple[int, int], int]]
-) -> list[tuple[int, int]]:
-    """gaussian_reps with each split prime p^e given as (pi, e), pi its
-    Gaussian prime, so that a caller can find each pi once.
-
-    Every z = a + bi of that norm is a unit times real (1+i)^two_exp
-    times, for each prime, pi^j pibar^(e-j), and (|a|, |b|) sorted forgets
-    units and conjugation.  (1+i)^k is a unit times 2^(k//2) (1+i)^(k%2), and
-    conjugating z flips every j to e - j, so the first prime needs only
-    j <= e // 2; when its e is odd, no pair comes up twice.
-    pi^j pibar^(e-j) is p^m times pi^(j-m) pibar^(e-j-m), m = min(j, e - j),
-    so one list of powers of pi gives every factor."""
-    s = real << (two_exp >> 1)
-    zs = [(s, s) if two_exp & 1 else (s, 0)]
-    first = True
-    for (a, b), e in primes:
-        if e == 1:  # most primes: no table of powers
-            factors = [(a, -b)] if first else [(a, -b), (a, b)]
-        else:
-            p = a * a + b * b
-            powers = [(1, 0)]
-            for _ in range(e):
-                c, d = powers[-1]
-                powers.append((a * c - b * d, a * d + b * c))
-            factors = []
-            for m in range(e // 2 + 1):
-                c, d = powers[e - 2 * m]
-                q = p**m
-                factors.append((q * c, -q * d))  # p^m pibar^(e-2m)
-                if not first and 2 * m < e:
-                    factors.append((q * c, q * d))  # p^m pi^(e-2m)
-        first = False
-        zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
-    zs = [(abs(u), abs(v)) for u, v in zs]
-    pairs = [(u, v) if u <= v else (v, u) for u, v in zs]
-    if primes and not primes[0][1] & 1:
-        pairs = set(pairs)
-    return sorted(pairs)
 
 
 def two_square_reps(n: int) -> list[tuple[int, int]]:

@@ -4,12 +4,14 @@ A strictly increasing positive quadruple on the surface is pinned down by
 (x2, x3): the defining equations force x1^2 = 2 x2^2 - x3^2 + 2 and
 x4^2 = 2 x3^2 - x2^2 + 2, so a search looks for the x3 in the window
 (x2, isqrt(2 x2^2 + 1)] where both radicands are perfect squares.  The
-default two-squares engine writes 2(x2^2 + 1) = x1^2 + x3^2 in every way,
-from one sieve of x^2 + 1 that factors all x2 up to the bound at once.
-The window engine walks x3 over the window and prunes it by the residues
-a square can take modulo 64 before doing any exact work; its time grows
-about as the square of the bound, and it stays as an independent check of
-the sieve.  Both produce identical sorted output.
+default two-squares engine writes 2(x2^2 + 1) = x1^2 + x3^2 in every way
+but the trivial (x2 - 1)^2 + (x2 + 1)^2, from the Gaussian primes of
+x2 + i that a segmented sieve of x^2 + 1 streams block by block, so its
+memory stays bounded as the bound grows.  The window engine walks x3 over
+the window and prunes it by the residues a square can take modulo 64
+before doing any exact work; its time grows about as the square of the
+bound, and it stays as an independent check of the sieve.  Both produce
+identical sorted output.
 
 Search results are classified, tested for extension on both sides, and
 compared against the bundled table of 121 reference rows.
@@ -23,7 +25,7 @@ from math import isqrt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square
-from .factorint import gaussian_prime, reps_from_primes, sieve_square_plus_one
+from .factorint import gaussian_factorizations, gaussian_products, prime_power_factors
 from .families import Classification, classify, extends_left, extends_right, is_trivial
 from .maps import on_surface
 
@@ -51,9 +53,9 @@ _ALLOWED64 = tuple(
 )
 
 
-def _window_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
+def _window_chunk(x2_max: int) -> List[Seq]:
     out = []
-    for x2 in range(x2_lo, x2_hi + 1):
+    for x2 in range(2, x2_max + 1):
         base = 2 * x2 * x2 + 2
         hi = isqrt(base - 1)
         lo = x2 + 1
@@ -72,33 +74,36 @@ def _window_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
     return out
 
 
-def _two_squares_chunk(x2_lo: int, x2_hi: int) -> List[Seq]:
+def _two_squares_chunk(x2_max: int) -> List[Seq]:
     out = []
-    factors = sieve_square_plus_one(x2_hi)
-    primes = {}  # p -> its Gaussian prime, for the p that come back
-    for x2 in range(x2_lo, x2_hi + 1):
-        split = factors[x2]
-        if len(split) == 1 and split[0][1] == 1:
-            # x2^2 + 1 = p or 2p: its one representation is the trivial
-            # (x2 - 1, x2 + 1)
-            continue
-        gauss = []
-        for p, e, root in split:
-            pi = primes.get(p)
-            if pi is None:
-                pi = gaussian_prime(p, root)
-                if p - root <= x2_hi:  # p divides x^2 + 1 again at x = p - root
-                    primes[p] = pi
-            gauss.append((pi, e))
+    for x2, primes in gaussian_factorizations(x2_max):
+        # 2 (x2^2 + 1) = |(1 + i)(x2 + i)|^2, with one more 2 when x2 is odd;
+        # the all-conjugate product is the trivial (x2 - 1, x2 + 1), so the
+        # last prime skips the one that extends zs[0] by conj(pi)^e
+        *head, (pi, e) = primes
+        zs = gaussian_products(1 + (x2 & 1), head)
+        if e == 1:  # then head is not empty: the stream leaves out x2^2 + 1 = p, 2p
+            a, b = pi
+            cands = [(u * a - v * b, u * b + v * a) for u, v in zs]
+            cands += [(u * a + v * b, v * a - u * b) for u, v in zs[1:]]
+        else:
+            factors = prime_power_factors(pi, e, not head)
+            u, v = zs[0]
+            cands = [(u * c - v * d, u * d + v * c) for c, d in factors[1:]]
+            cands += [
+                (u * c - v * d, u * d + v * c) for u, v in zs[1:] for c, d in factors
+            ]
         x2_sq = x2 * x2
-        # 2 (x2^2 + 1), with one more 2 when x2 is odd; r <= s forces
-        # r < x2 < s, and r = x2 - 1 forces the trivial (x2 - 1, ..., x2 + 2)
-        for x1, x3 in reps_from_primes(1, 1 + (x2 & 1), gauss):
-            if x1 == 0 or x1 == x2 - 1:
-                continue
-            x4 = as_perfect_square(2 * x3 * x3 - x2_sq + 2)
-            if x4 is not None:
-                out.append((x1, x2, x3, x4))
+        for x1, x3 in cands:
+            x1, x3 = abs(x1), abs(x3)
+            if x1 > x3:
+                x1, x3 = x3, x1
+            # x1 <= x3 forces x1 < x2 < x3
+            if 0 < x1:
+                x4 = as_perfect_square(2 * x3 * x3 - x2_sq + 2)
+                # only an even first exponent brings a pair up twice
+                if x4 is not None and (primes[0][1] & 1 or (x1, x2, x3, x4) not in out):
+                    out.append((x1, x2, x3, x4))
     return out
 
 
@@ -108,14 +113,16 @@ _ENGINES = {"window": _window_chunk, "two-squares": _two_squares_chunk}
 def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     """All non-trivial strictly increasing positive quadruples with
     x2 <= x2_max, sorted by (x1, x2), duplicate-free.  engine is
-    "two-squares" (the sieve, the default) or "window" (the windowed
-    scan, about as slow as x2_max^2, kept as an independent check)."""
+    "two-squares" (the default: the streamed sieve, in memory that grows
+    about as x2_max / log x2_max, 49 MB at the bundled table's
+    x2_max = 1157218) or "window" (the windowed scan, about as slow as
+    x2_max^2, kept as an independent check)."""
     if x2_max < 2:
         raise ValueError("bound must be at least 2")
     chunk = _ENGINES.get(engine)
     if chunk is None:
         raise ValueError(f"unknown engine {engine!r}")
-    return sorted(chunk(2, x2_max))
+    return sorted(chunk(x2_max))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from buchi4 import families
+from buchi4 import factorint, families
 from buchi4.curves import curve_rhs, is_squarefree, scan_integer_points
 from buchi4.families import (
     F_POLY,
@@ -183,6 +183,13 @@ def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline, monkeypatc
 
 def test_engines_agree_at_the_desk_bound(desk_pipeline):
     rows = enumerate_sequences(30000, engine="window")
+    assert rows == [r.seq for r in desk_pipeline]
+
+
+def test_sieve_blocks_do_not_change_the_desk_rows(desk_pipeline, monkeypatch):
+    # blocks of 7 values of x carry most primes across many block edges
+    monkeypatch.setattr(factorint, "_BLOCK", 7)
+    rows = enumerate_sequences(30000, engine="two-squares")
     assert rows == [r.seq for r in desk_pipeline]
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from buchi4.arith import as_perfect_square
-from buchi4.factorint import gaussian_reps, sieve_square_plus_one
+from buchi4.factorint import gaussian_factorizations, gaussian_products, reps_from_primes
 from buchi4.families import is_trivial
 from buchi4.maps import on_surface
 from buchi4.search import (
@@ -62,11 +62,18 @@ def test_engines_agree():
 
 
 def test_trivial_filter_agrees_with_is_trivial():
-    # the sieve engine drops x1 = x2 - 1 instead of calling is_trivial
-    factors = sieve_square_plus_one(3000)
+    # the two-squares engine never forms the all-conjugate product, the
+    # first of gaussian_products, instead of calling is_trivial; the x2
+    # the stream leaves out have only that representation
+    stream = dict(gaussian_factorizations(3000))
     expected = []
     for x2 in range(2, 3001):
-        for x1, x3 in gaussian_reps(1, 1 + (x2 & 1), factors[x2]):
+        if x2 not in stream:
+            assert is_trivial((x2 - 1, x2, x2 + 1, x2 + 2))
+            continue
+        trivial = gaussian_products(1 + (x2 & 1), stream[x2])[0]
+        assert sorted(map(abs, trivial)) == [x2 - 1, x2 + 1], x2
+        for x1, x3 in reps_from_primes(1, 1 + (x2 & 1), stream[x2]):
             x4 = as_perfect_square(2 * x3 * x3 - x2 * x2 + 2)
             if x1 == 0 or x4 is None:
                 assert x1 != x2 - 1, (x1, x2, x3)
