@@ -22,7 +22,6 @@ __all__ = [
     "gaussian_prime",
     "gaussian_products",
     "gaussian_reps",
-    "prime_power_factors",
     "reps_from_primes",
     "sqrt_minus_one_mod",
     "two_square_reps",
@@ -129,33 +128,6 @@ def gaussian_prime(p: int, root: int) -> tuple[int, int]:
     return a, b
 
 
-def prime_power_factors(
-    pi: tuple[int, int], e: int, first: bool
-) -> list[tuple[int, int]]:
-    """The factors of norm p^e that the split prime p^e contributes to a
-    product, pi = a + bi its Gaussian prime: p^m conj(pi)^(e-2m) for
-    0 <= m <= e // 2, conj(pi)^e first, then, unless first, their
-    conjugates p^m pi^(e-2m) for 2m < e.  Conjugating a product flips the
-    choice at every prime, so the first prime of a product needs only one
-    side."""
-    a, b = pi
-    if e == 1:  # most primes: no table of powers
-        return [(a, -b)] if first else [(a, -b), (a, b)]
-    p = a * a + b * b
-    powers = [(1, 0)]
-    for _ in range(e):
-        c, d = powers[-1]
-        powers.append((a * c - b * d, a * d + b * c))
-    factors = []
-    for m in range(e // 2 + 1):
-        c, d = powers[e - 2 * m]
-        q = p**m
-        factors.append((q * c, -q * d))
-    if not first:
-        factors += [(c, -d) for c, d in factors[: (e + 1) // 2]]
-    return factors
-
-
 def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, int]]:
     """The Gaussian integers z = a + bi, one per pair {z, conj(z)} up to
     units, of norm 2^two_exp prod p^e, where primes lists (pi, e) for
@@ -165,15 +137,31 @@ def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, i
     Every such z is a unit times (1+i)^two_exp times, for each prime,
     pi^j conj(pi)^(e-j), and (1+i)^k is a unit times 2^(k//2) (1+i)^(k%2).
     pi^j conj(pi)^(e-j) is p^m times pi^(j-m) conj(pi)^(e-j-m),
-    m = min(j, e - j), which is what prime_power_factors lists.  When the
-    first prime's e is odd, no z comes up twice up to units and
-    conjugation; when it is even, its middle factor p^(e/2) is its own
-    conjugate, and a z can."""
+    m = min(j, e - j): the factors p^m conj(pi)^(e-2m) for 0 <= m <= e // 2,
+    conj(pi)^e first, then their conjugates p^m pi^(e-2m) for 2m < e.
+    Conjugating a product flips the choice at every prime, so the first
+    prime takes only the conj(pi) side.  When the first prime's e is odd,
+    no z comes up twice up to units and conjugation; when it is even, its
+    middle factor p^(e/2) is its own conjugate, and a z can."""
     s = 1 << (two_exp >> 1)
     zs = [(s, s) if two_exp & 1 else (s, 0)]
     first = True
-    for pi, e in primes:
-        factors = prime_power_factors(pi, e, first)
+    for (a, b), e in primes:
+        if e == 1:  # most primes: no table of powers
+            factors = [(a, -b)] if first else [(a, -b), (a, b)]
+        else:
+            p = a * a + b * b
+            powers = [(1, 0)]
+            for _ in range(e):
+                c, d = powers[-1]
+                powers.append((a * c - b * d, a * d + b * c))
+            factors = []
+            for m in range(e // 2 + 1):
+                c, d = powers[e - 2 * m]
+                q = p**m
+                factors.append((q * c, -q * d))
+            if not first:
+                factors += [(c, -d) for c, d in factors[: (e + 1) // 2]]
         first = False
         zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
     return zs

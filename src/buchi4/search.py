@@ -25,7 +25,7 @@ from math import isqrt
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .arith import as_perfect_square
-from .factorint import gaussian_factorizations, gaussian_products, prime_power_factors
+from .factorint import gaussian_factorizations, gaussian_products
 from .families import Classification, classify, extends_left, extends_right, is_trivial
 from .maps import on_surface
 
@@ -78,23 +78,9 @@ def _two_squares_chunk(x2_max: int) -> List[Seq]:
     out = []
     for x2, primes in gaussian_factorizations(x2_max):
         # 2 (x2^2 + 1) = |(1 + i)(x2 + i)|^2, with one more 2 when x2 is odd;
-        # the all-conjugate product is the trivial (x2 - 1, x2 + 1), so the
-        # last prime skips the one that extends zs[0] by conj(pi)^e
-        *head, (pi, e) = primes
-        zs = gaussian_products(1 + (x2 & 1), head)
-        if e == 1:  # then head is not empty: the stream leaves out x2^2 + 1 = p, 2p
-            a, b = pi
-            cands = [(u * a - v * b, u * b + v * a) for u, v in zs]
-            cands += [(u * a + v * b, v * a - u * b) for u, v in zs[1:]]
-        else:
-            factors = prime_power_factors(pi, e, not head)
-            u, v = zs[0]
-            cands = [(u * c - v * d, u * d + v * c) for c, d in factors[1:]]
-            cands += [
-                (u * c - v * d, u * d + v * c) for u, v in zs[1:] for c, d in factors
-            ]
+        # the first product is the trivial (x2 - 1, x2 + 1)
         x2_sq = x2 * x2
-        for x1, x3 in cands:
+        for x1, x3 in gaussian_products(1 + (x2 & 1), primes)[1:]:
             x1, x3 = abs(x1), abs(x3)
             if x1 > x3:
                 x1, x3 = x3, x1
