@@ -6,8 +6,9 @@ x^2 + 1, one block of x at a time, as the Gaussian primes that divide
 x + i; the sieve hands out a square root of -1 modulo every prime it
 finds, so no primality test and no general factoring is needed, and its
 memory is one block plus the primes that come back later.
-`two_square_reps` decomposes a single integer by trial division.  Both
-feed one Gaussian-integer product, `gaussian_products`, that
+`two_square_reps` decomposes a single integer by trial division and
+finds the Gaussian prime of each split prime from a square root of -1.
+Both feed one Gaussian-integer product, `gaussian_products`, which
 `reps_from_primes` turns into the list of representations.  Everything is
 exact and stdlib-only.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "gaussian_factorizations",
     "gaussian_prime",
     "gaussian_products",
-    "gaussian_reps",
     "reps_from_primes",
     "sqrt_minus_one_mod",
     "two_square_reps",
@@ -170,9 +170,10 @@ def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, i
 def reps_from_primes(
     real: int, two_exp: int, primes: GaussianPrimes
 ) -> list[tuple[int, int]]:
-    """gaussian_reps with each split prime p^e given as (pi, e), pi its
-    Gaussian prime, so that a caller can find each pi once: the products
-    of gaussian_products times real, as (|a|, |b|) sorted, which forgets
+    """All (r, s) with 0 <= r <= s and r^2 + s^2 = real^2 2^two_exp
+    prod p^e, in ascending order, where primes lists (pi, e) for distinct
+    split primes p, pi the Gaussian prime of p: the products of
+    gaussian_products times real, as (|a|, |b|) sorted, which forgets
     units and conjugation."""
     pairs = []
     for u, v in gaussian_products(two_exp, primes):
@@ -181,17 +182,6 @@ def reps_from_primes(
     if primes and not primes[0][1] & 1:
         pairs = set(pairs)
     return sorted(pairs)
-
-
-def gaussian_reps(
-    real: int, two_exp: int, split: list[tuple[int, int, int]]
-) -> list[tuple[int, int]]:
-    """All (r, s) with 0 <= r <= s and r^2 + s^2 = real^2 2^two_exp
-    prod p^e, in ascending order, where split lists (p, e, root) for
-    distinct primes p = 1 mod 4 and root^2 = -1 mod p."""
-    return reps_from_primes(
-        real, two_exp, [(gaussian_prime(p, root), e) for p, e, root in split]
-    )
 
 
 def two_square_reps(n: int) -> list[tuple[int, int]]:
@@ -219,6 +209,6 @@ def two_square_reps(n: int) -> list[tuple[int, int]]:
                 return []
             real *= p ** (e // 2)
         elif e:
-            split.append((p, e, sqrt_minus_one_mod(p)))
+            split.append((gaussian_prime(p, sqrt_minus_one_mod(p)), e))
         p += 2
-    return gaussian_reps(real, two_exp, split)
+    return reps_from_primes(real, two_exp, split)

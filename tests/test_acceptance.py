@@ -2,8 +2,9 @@
 
 One test per acceptance criterion, in order; run with -v to get a
 pass/fail line per criterion.  The desk-scale pipeline (criterion 8) runs
-once and is shared, also by the check that the window engine finds the
-same rows at that bound, which is the slowest test here.
+once and is shared, also by the check that the window scan of
+tests/window_scan.py finds the same rows at that bound, which is the
+slowest test here.
 """
 
 import hashlib
@@ -50,6 +51,7 @@ from buchi4.search import (
 )
 
 from test_families import XI1, XI2, XI3
+from window_scan import window_scan
 
 
 def test_criterion_01_group_identity_suite():
@@ -182,14 +184,14 @@ def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline, monkeypatc
 
 
 def test_engines_agree_at_the_desk_bound(desk_pipeline):
-    rows = enumerate_sequences(30000, engine="window")
+    rows = window_scan(30000)
     assert rows == [r.seq for r in desk_pipeline]
 
 
 def test_sieve_blocks_do_not_change_the_desk_rows(desk_pipeline, monkeypatch):
     # blocks of 7 values of x carry most primes across many block edges
     monkeypatch.setattr(factorint, "_BLOCK", 7)
-    rows = enumerate_sequences(30000, engine="two-squares")
+    rows = enumerate_sequences(30000)
     assert rows == [r.seq for r in desk_pipeline]
 
 

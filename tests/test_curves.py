@@ -3,7 +3,7 @@
 import pytest
 
 from buchi4.curves import (
-    _CERT_PRIMES,
+    _CERT_PRIME,
     TRIVIAL_PARAMETERS,
     CurveSpec,
     curve_rhs,
@@ -78,13 +78,13 @@ def test_squarefree_low_levels():
 
 def test_every_curve_is_certified_squarefree_by_the_modular_gcd():
     # all 16 curves of the benchmark, n = 1..8 on both sides; each must be
-    # certified by one of the two primes, not only by the exact fallback
+    # certified by the one certificate prime, not only by the exact fallback
     for n in range(1, 9):
         for side in ("right", "left"):
             curve = curve_rhs(n, side)
             ints = curve.coefficients()
             dints = curve.rhs.derivative().int_coeffs()
-            assert any(gcd_mod((ints, dints), p) == [1] for p in _CERT_PRIMES)
+            assert gcd_mod((ints, dints), _CERT_PRIME) == [1]
             assert is_squarefree(curve)
 
 

@@ -20,6 +20,8 @@ from buchi4.search import (
     run_pipeline,
 )
 
+from window_scan import window_scan
+
 # every non-trivial strictly increasing positive solution with x2 <= 700
 ROWS_700 = [
     (6, 23, 32, 39),
@@ -57,13 +59,12 @@ def test_enumeration_is_exhaustive_against_the_table():
 
 
 def test_engines_agree():
-    reference = enumerate_sequences(1500, engine="window")
-    assert enumerate_sequences(1500, engine="two-squares") == reference
+    assert enumerate_sequences(1500) == window_scan(1500)
 
 
 def test_trivial_filter_agrees_with_is_trivial():
-    # the two-squares engine never forms the all-conjugate product, the
-    # first of gaussian_products, instead of calling is_trivial; the x2
+    # the search never forms the all-conjugate product, the first of
+    # gaussian_products, instead of calling is_trivial; the x2
     # the stream leaves out have only that representation
     stream = dict(gaussian_factorizations(3000))
     expected = []
@@ -82,7 +83,7 @@ def test_trivial_filter_agrees_with_is_trivial():
             assert is_trivial(seq) == (x1 == x2 - 1), seq
             if x1 != x2 - 1:
                 expected.append(seq)
-    assert enumerate_sequences(3000, engine="two-squares") == sorted(expected)
+    assert enumerate_sequences(3000) == sorted(expected)
 
 
 def test_bad_arguments():
@@ -90,6 +91,8 @@ def test_bad_arguments():
         enumerate_sequences(1)
     with pytest.raises(ValueError):
         enumerate_sequences(100, engine="sieve")
+    with pytest.raises(ValueError):
+        enumerate_sequences(100, engine="window")
 
 
 def test_bundled_table_shape():
