@@ -81,12 +81,15 @@ _CERT_PRIME = 2305843009213693951
 
 
 def is_squarefree(curve) -> bool:
-    """True iff gcd(rhs, rhs') is constant.
+    """True iff gcd(rhs, rhs') is constant; ValueError for the zero
+    polynomial, whose gcd with its derivative is undefined.
 
     Tries the modular certificate first (sound when it reports constant),
     then falls back to the exact subresultant gcd.
     """
     rhs = curve.rhs if isinstance(curve, CurveSpec) else curve
+    if rhs.is_zero():
+        raise ValueError("squarefreeness of the zero polynomial is undefined")
     d = rhs.derivative()
     if rhs.is_integral():
         ints, dints = rhs.int_coeffs(), d.int_coeffs()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import comb
+from math import comb, isqrt
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -547,99 +547,52 @@ def _exact_point(seq: Sequence) -> Tuple:
     return tuple(out)
 
 
-def _sturm_chain(h: Sequence[int]) -> list[list[int]]:
-    """Sturm chain of a squarefree integer polynomial, each member scaled
-    to integer coefficients (positive scaling keeps all signs)."""
-    chain = [UPoly(h)]
-    chain.append(chain[0].derivative())
-    while chain[-1].degree > 0:
-        _, r = divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    out = []
-    for p in chain:
-        ints, scale = p.primitive_int()
-        out.append(ints if scale > 0 else [-c for c in ints])
-    return out
-
-
-def _integer_roots_monic(h: list[int]) -> list[int]:
-    """All integer roots of a monic squarefree integer polynomial.
-
-    Sturm bisection over half-integer endpoints: a monic polynomial has no
-    half-integer roots, so sign variation counts at endpoints are always
-    well defined, and every width-one interval holds at most one integer
-    candidate.  No factorization of the coefficients is involved.
-    """
-    if len(h) == 2:
-        return [-h[0]]
-    # sign of g(u/2) equals the sign of sum(g_k 2^(e-k) u^k)
-    chain2 = [
-        [c << (len(cs) - 1 - k) for k, c in enumerate(cs)]
-        for cs in _sturm_chain(h)
-    ]
-
-    def variations(u: int) -> int:
-        signs = []
-        for cs in chain2:
-            v = horner(cs, u)
-            if v:
-                signs.append(v > 0)
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    bound = 1 + max(abs(c) for c in h)  # roots lie inside (-bound, bound)
-    lo, hi = -2 * bound - 1, 2 * bound + 1  # odd: endpoints are half-integers
-    roots = []
-    stack = [(lo, hi, variations(lo), variations(hi))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        if va - vb <= 0:
-            continue
-        if b - a == 2:
-            k = (a + 1) // 2
-            if horner(h, k) == 0:
-                roots.append(k)
-            continue
-        m = (a + b) // 2
-        if m % 2 == 0:
-            m += 1
-        vm = variations(m)
-        stack.append((a, m, va, vm))
-        stack.append((m, b, vm, vb))
-    return sorted(roots)
-
-
 def _rational_roots(poly: UPoly) -> list[Fraction]:
-    """All rational roots, exactly.
+    """All rational roots, exactly, by p-adic lifting (Loos 1983).
 
-    The squarefree part is rescaled so that every rational root becomes an
-    integer root of a monic polynomial (denominators of roots divide the
-    leading coefficient), then those are isolated by Sturm bisection.
-    Complete, and never factors any coefficient.
+    g is the squarefree primitive part of poly, a root at 0 split off.  A
+    root a/b of g in lowest terms has a | g(0) and b | lc(g), so p, the
+    least odd prime that keeps g squarefree of the same degree mod p
+    (gcd_mod), does not divide b, and a/b mod p is a simple root of g mod
+    p.  Newton's step lifts each such root uniquely mod m = p^2, p^4, ...
+    until m > 2 H^2, H = max(|g(0)|, lc(g)) >= |a|, b, so a/b is the one
+    fraction rational_reconstruction rebuilds; it is kept if g(a/b) = 0.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
-    ints, _ = poly.primitive_int()
-    shift = 0
-    while ints[0] == 0:
-        ints = ints[1:]
-        shift += 1
-    roots = [Fraction(0)] if shift else []
-    if len(ints) == 1:
-        return roots
-    f = UPoly(ints)
-    g = upoly_gcd(f, f.derivative())
-    if g.degree > 0:
-        ints, _ = f.exact_div(g).primitive_int()
-    lead = ints[-1]
-    d = len(ints) - 1
-    h = [c * lead ** (d - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-    for u in _integer_roots_monic(h):
-        r = Fraction(u, lead)
-        if r not in roots:
-            roots.append(r)
+    f = UPoly(poly.primitive_int()[0])
+    g = f.exact_div(upoly_gcd(f, f.derivative())).primitive_int()[0]
+    roots = []
+    if g[0] == 0:
+        roots, g = [Fraction(0)], g[1:]
+    dg = [k * c for k, c in enumerate(g)][1:]
+    p = 3
+    while gcd_mod((g, dg), p) != [1]:  # None when p divides lc(g)
+        p += 2
+        while any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            p += 2
+    bound = 2 * max(abs(g[0]), g[-1]) ** 2
+    for r in range(p):  # a constant g has no root mod p
+        if horner(g, r) % p:
+            continue
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - horner(g, r) * pow(horner(dg, r), -1, m)) % m
+        t = rational_reconstruction(r, m)
+        if t is not None and horner(g, t) == 0:
+            roots.append(t)
     return sorted(roots)
+
+
+@lru_cache(maxsize=None)
+def _xi1_floor(n: int) -> int:
+    """xi1(n, 0), once positive coefficients prove xi1(n, .) increasing on
+    t >= 0 for bisection in _invert_xi (they hold at every level met)."""
+    coeffs = xi_poly(n)[0].coeffs
+    if any(c <= 0 for c in coeffs):
+        raise ArithmeticError(f"xi1({n}) has a non-positive coefficient")
+    return coeffs[0].numerator
 
 
 def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
@@ -649,13 +602,8 @@ def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
     s1 = pt[0]
     n = 1
     while True:
-        floor = xi_eval(n, 0)[0]
-        if floor > s1:
+        if _xi1_floor(n) > s1:
             return None
-        # bisection needs xi1(n, .) strictly increasing on t >= 0; positive
-        # coefficients guarantee it and hold for every row in practice
-        if any(c <= 0 for c in xi_poly(n)[0].coeffs):
-            raise ArithmeticError(f"xi1({n}) has a non-positive coefficient")
         lo, hi = 0, 1
         while xi_eval(n, hi)[0] < s1:
             lo, hi = hi, hi * 2
@@ -796,19 +744,15 @@ def _constraints(forms, v) -> list[list[int]]:
 
 def _exact_parameters(constraints) -> list[Fraction]:
     """The rational common roots of nonzero integer constraints, or a
-    superset of them, exactly.  The primitive gcd (int_poly_gcd) folds in
-    one constraint at a time and stops once its degree is at most one: the
-    root of a linear gcd is the only candidate, a constant leaves none, and
-    only a gcd of higher degree needs _rational_roots."""
+    superset of them, exactly: the rational roots (_rational_roots) of
+    their primitive gcd (int_poly_gcd).  The gcd folds in one constraint at
+    a time and stops once its degree is at most one, since a linear gcd's
+    root is then the only candidate and a constant leaves none."""
     g = constraints[0]
     for c in constraints[1:]:
         if len(g) <= 2:
             break
         g = int_poly_gcd(g, c)
-    if len(g) == 1:
-        return []
-    if len(g) == 2:
-        return [Fraction(-g[0], g[1])]
     return _rational_roots(UPoly(g))
 
 
@@ -828,8 +772,8 @@ def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
     with root t, and t is the only candidate.  Every other outcome (p
     divides the leading coefficient, the gcd mod p has degree two or more,
     the root has no fraction within the bound or the confirmation fails)
-    runs the exact gcd on the same constraints (_exact_parameters), and
-    _family_has decides each candidate."""
+    runs the exact gcd on the same constraints and lifts its roots p-adically
+    (_exact_parameters), and _family_has decides each candidate."""
     constraints = _constraints(_forms(index), v)
     if not constraints:
         return None

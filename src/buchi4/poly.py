@@ -14,8 +14,8 @@ degree 70+ instances coming from the extension curves stay exact and fast.
 Its integer core also serves integer coefficient lists directly.  gcd_mod is
 the one modular Euclid: a constant gcd mod p certifies a constant gcd over
 the rationals, so callers can skip the exact gcd, and
-rational_reconstruction turns the root of a degree-one gcd mod p into a
-fraction.  horner evaluates any coefficient sequence, UPoly coefficients and
+rational_reconstruction turns a residue mod any m >= 2, such as the root
+of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.  horner evaluates any coefficient sequence, UPoly coefficients and
 plain integer lists alike.
 """
 
@@ -344,15 +344,16 @@ def gcd_mod(
     return [c * inv % p for c in g]
 
 
-def rational_reconstruction(r: int, p: int) -> Optional[Fraction]:
-    """The fraction a/b with a = r b mod p, |a| <= sqrt(p/2) and
-    0 < b <= sqrt(p/2), or None when there is none (Wang, Guy & Davenport
-    1982).  Two such fractions a/b and c/d would have |ad - bc| < p and
-    ad - bc = 0 mod p, so there is at most one; the half-extended Euclid
-    on (p, r), stopped at the first remainder within the bound, finds it.
+def rational_reconstruction(r: int, m: int) -> Optional[Fraction]:
+    """The fraction a/b with a = r b mod m, |a| <= sqrt(m/2) and
+    0 < b <= sqrt(m/2), or None when there is none (Wang, Guy & Davenport
+    1982), for any modulus m >= 2, prime or not.  Two such fractions a/b
+    and c/d would have |ad - bc| < m and ad - bc = 0 mod m, so there is at
+    most one; the half-extended Euclid on (m, r), stopped at the first
+    remainder within the bound, finds it.
     """
-    bound = isqrt(p // 2)
-    r0, r1 = p, r % p
+    bound = isqrt(m // 2)
+    r0, r1 = m, r % m
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1

@@ -92,6 +92,9 @@ def test_squarefree_rejects_squares():
     assert not is_squarefree((T + 1) * (T + 1) * (T + 3))
     assert not is_squarefree((2 * T + 5) ** 2)
     assert is_squarefree((T + 1) * (T + 2))
+    # gcd(0, 0') is undefined, as in upoly_gcd
+    with pytest.raises(ValueError):
+        is_squarefree(UPoly(()))
 
 
 def test_scan_finds_exactly_the_trivial_hits():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buchi4 import families
@@ -64,6 +64,7 @@ from buchi4.maps import (
     normalize_point,
     on_surface,
     to_vector,
+    zeta_inv_vector,
 )
 from buchi4.poly import UPoly, gcd_mod, horner, upoly_gcd
 from buchi4.search import bundled_table
@@ -388,6 +389,16 @@ def test_descent_chain_stalls_on_sporadic_points():
     assert all(not is_trivial(pt) for pt in chain)
 
 
+def test_descent_chain_stops_where_phi_is_undefined():
+    # on the surface and not trivial, but b = c leaves phi undefined, so
+    # the chain is the point alone
+    pt = (Fraction(9, 4), Fraction(7, 4), Fraction(7, 4), Fraction(9, 4))
+    assert on_surface(pt) and not is_trivial(pt)
+    with pytest.raises(ZeroDivisionError):
+        zeta_inv_vector(to_vector(pt))
+    assert descent_chain(pt) == [pt]
+
+
 def test_full_verification_report():
     report = verify_families()
     assert report.ok, report.failures()
@@ -538,8 +549,11 @@ def test_modular_route_equals_the_exact_path_on_chain_nodes(monkeypatch):
         # degree-one gcd is rebuilt and confirmed
         assert t is None or not calls, (index, v)
         # one pass: the constraints are built and reduced mod p at most
-        # once, and the exact fallback reuses them
-        assert len(built) <= 1 and len(modular) <= 1, (index, v)
+        # once, and the exact fallback reuses them (its root finder calls
+        # gcd_mod on the gcd and its derivative at small primes, not on the
+        # constraints at p)
+        reduced = [args for args in modular if args[1] == CERT_PRIME]
+        assert len(built) <= 1 and len(reduced) <= 1, (index, v)
 
 
 def test_members_beyond_the_reconstruction_bound_take_the_exact_path(monkeypatch):
@@ -572,6 +586,55 @@ def test_parameter_candidates_match_the_fraction_path_off_the_families():
         for pt in points:
             got = _exact_parameters(_constraints(forms, to_vector(pt)))
             assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
+
+
+def _int_product(*factors):
+    """The integer coefficient list, constant first, of a product of
+    integer coefficient lists."""
+    return prod((UPoly(f) for f in factors), start=UPoly((1,))).int_coeffs()
+
+
+def test_exact_parameters_of_a_gcd_of_degree_two():
+    # (t - 1)(2t + 3) is the gcd: both of its roots come back
+    shared = _int_product((-1, 1), (3, 2))
+    constraints = [_int_product(shared, (5, 1)), _int_product(shared, (7, 0, 1))]
+    assert _exact_parameters(constraints) == [Fraction(-3, 2), Fraction(1)]
+    # t^2 - 2 is the gcd: no rational root, no candidate
+    shared = (-2, 0, 1)
+    constraints = [_int_product(shared, (1, 1)), _int_product(shared, (4, 3))]
+    assert _exact_parameters(constraints) == []
+
+
+# t^2 + c with c > 0 and t^2 - 2 have no rational root, but they have roots
+# mod many primes, which lift to fractions that are not roots
+IRRATIONAL_QUADRATICS = st.one_of(
+    st.integers(1, 10**12).map(lambda c: (c, 0, 1)), st.just((-2, 0, 1))
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-10**25, 10**25), st.integers(1, 3**30), st.integers(1, 3)),
+        max_size=4,
+    ),
+    st.lists(IRRATIONAL_QUADRATICS, max_size=2),
+    st.integers(-10**6, 10**6).filter(bool),
+)
+@example([(0, 1, 2), (-7, 3, 1)], [(2, 0, 1), (-2, 0, 1)], -6)
+@example([(5, 1, 3), (10**25, 3**30, 2)], [(1, 0, 1)], 1)
+@example([], [], 4)
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_are_the_roots_the_factors_put_in(roots, quadratics, scale):
+    # the product of (b t - a)^k and the quadratics, times a scale: its
+    # rational roots are exactly the a/b
+    factors = [(-a, b) for a, b, k in roots for _ in range(k)]
+    poly = UPoly(_int_product(*factors, *quadratics)) * Fraction(scale, 7)
+    assert _rational_roots(poly) == sorted({Fraction(a, b) for a, b, _ in roots})
+
+
+def test_rational_roots_of_the_zero_polynomial_are_undefined():
+    with pytest.raises(ValueError):
+        _rational_roots(UPoly(()))
 
 
 # -- the residue sieve in front of the exact family match --------------------

@@ -87,19 +87,21 @@ def _residue(t, p):
 
 
 def test_rational_reconstruction_over_all_residues_of_a_small_prime():
-    # against brute force: every a/b with |a|, b <= sqrt(p/2) and a = r b
-    p = 101
-    bound = isqrt(p // 2)
-    found = {}
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if gcd(a, b) == 1:
-                found.setdefault(a * pow(b, -1, p) % p, []).append(Fraction(a, b))
-    assert all(len(ts) == 1 for ts in found.values())  # unique when it exists
-    for r in range(p):
-        want = found.get(r, [None])[0]
-        assert rational_reconstruction(r, p) == want, r
-    assert len(found) < p  # some residues have no fraction: None
+    # against brute force: every a/b with |a|, b <= sqrt(m/2) and a = r b,
+    # at a prime and at a prime power (a = r b mod 3 forces 3 | a when
+    # 3 | b, so a fraction in lowest terms has b prime to 3^5)
+    for m in (101, 3**5):
+        bound = isqrt(m // 2)
+        found = {}
+        for b in range(1, bound + 1):
+            for a in range(-bound, bound + 1):
+                if gcd(a, b) == 1 and gcd(b, m) == 1:
+                    found.setdefault(a * pow(b, -1, m) % m, []).append(Fraction(a, b))
+        assert all(len(ts) == 1 for ts in found.values())  # unique when it exists
+        for r in range(m):
+            want = found.get(r, [None])[0]
+            assert rational_reconstruction(r, m) == want, (m, r)
+        assert len(found) < m  # some residues have no fraction: None
 
 
 def test_rational_reconstruction_at_the_bound_and_past_it():
