@@ -120,6 +120,9 @@ def _cmd_table(args) -> int:
         comparison = compare_with_table(records, args.x2_bound)
         print(comparison)
         return 0 if comparison.ok else 1
+    if args.x2_bound is not None:
+        print("error: --x2-bound requires --compare", file=sys.stderr)
+        return 2
     if args.plot_data:
         for x1, idx in plot_data():
             print(f"{x1},{idx}")

@@ -28,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import comb, isqrt
-from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
+from . import assets
 from .arith import as_perfect_square, format_rational, parse_rational
 from .maps import (
     IDENTITY,
@@ -51,7 +50,6 @@ from .maps import (
 )
 from .poly import (
     QuadExt,
-    RatFunc,
     T,
     UPoly,
     gcd_mod,
@@ -279,50 +277,37 @@ def growth_check(n_max: int, t_max: int) -> RelationReport:
 # -- bundled quartic and rational families -------------------------------------
 
 
-def _load_blocks(asset: str) -> dict:
-    text = resources.files("buchi4.assets").joinpath(asset).read_text()
+@lru_cache(maxsize=1)
+def _family_table() -> dict:
+    """Every bundled family, keyed by block name ('quartic', 'quartic-even',
+    'quartic-odd', 'thirds', '1'..'15'), as (n1, n2, n3, n4, den): integer
+    coefficient lists, constant first, padded with zeros to one length
+    D + 1, which _form_value reads as forms of degree D in (a : b)."""
     blocks: dict = {}
-    current = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            blocks[current] = {}
-            continue
-        key, _, body = line.partition(":")
-        blocks[current][key.strip()] = body.strip()
-    return blocks
+    for asset in ("poly_families.txt", "rat_families.txt"):
+        for line in assets.lines(asset):
+            if line.startswith("[") and line.endswith("]"):
+                block = blocks[line[1:-1]] = {}
+                continue
+            key, _, body = line.partition(":")
+            block[key.strip()] = parse_upoly(body).int_coeffs()
+    table = {}
+    for name, block in blocks.items():
+        polys = [block[key] for key in ("n1", "n2", "n3", "n4", "den")]
+        width = max(map(len, polys))
+        table[name] = tuple(tuple(cs) + (0,) * (width - len(cs)) for cs in polys)
+    return table
 
 
-@lru_cache(maxsize=1)
-def _poly_families() -> dict:
-    out = {}
-    for name, entries in _load_blocks("poly_families.txt").items():
-        den = int(entries["den"])
-        nums = tuple(parse_upoly(entries[f"n{i}"]) for i in range(1, 5))
-        out[name] = (den, nums)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _rat_families() -> dict:
-    out = {}
-    for name, entries in _load_blocks("rat_families.txt").items():
-        den = parse_upoly(entries["den"])
-        nums = tuple(parse_upoly(entries[f"n{i}"]) for i in range(1, 5))
-        out[int(name)] = (den, nums)
-    return out
-
-
+@lru_cache(maxsize=None)
 def p_family(variant: str = "quartic") -> Tuple[int, Tuple[UPoly, ...]]:
     """(denominator, numerators) of one of the bundled constant-denominator
     families: 'quartic', 'quartic-even', 'quartic-odd', or 'thirds'."""
-    fams = _poly_families()
-    if variant not in fams:
+    table = _family_table()
+    if variant not in table or variant.isdigit():  # '1'..'15' are r_family's
         raise KeyError(f"unknown family variant {variant!r}")
-    return fams[variant]
+    *nums, den = table[variant]
+    return den[0], tuple(map(UPoly, nums))
 
 
 def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
@@ -330,11 +315,12 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 
 
 def _family_value(index: int, t) -> Tuple[Fraction, ...]:
-    *nums, den = _forms(index)
-    d = horner(den, t)
-    if d == 0:
+    """r(index) at t, or the quartic family for index 0: with t = a/b,
+    n_j(t)/den(t) = N_j(a, b)/Den(a, b) for the forms of _forms."""
+    *nums, den = (_form_value(cs, t.numerator, t.denominator) for cs in _forms(index))
+    if den == 0:
         raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
-    return tuple(Fraction(horner(cs, t), d) for cs in nums)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def p_value(t) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -342,24 +328,27 @@ def p_value(t) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     return _family_value(0, t)
 
 
-def p_eval(t: int) -> Tuple[int, int, int, int]:
-    """Integer values of the quartic family; defined off t = 3 mod 4."""
-    if t % 4 == 3:
-        raise NonIntegral("the quartic family is non-integral at t = 3 mod 4")
-    return tuple(v.numerator for v in p_value(t))
+def p_eval(t) -> Tuple[int, int, int, int]:
+    """Integer values of the quartic family; NonIntegral unless every value
+    is an integer, which at integer t is exactly t != 3 mod 4."""
+    values = p_value(t)
+    if any(v.denominator != 1 for v in values):
+        raise NonIntegral(f"the quartic family is non-integral at t = {t}")
+    return tuple(v.numerator for v in values)
 
 
+@lru_cache(maxsize=None)
 def r_family(i: int) -> Tuple[UPoly, Tuple[UPoly, ...]]:
     """(denominator, numerators) of the i-th rational family, i in 1..15."""
-    fams = _rat_families()
-    if i not in fams:
+    if i not in range(1, 16):
         raise KeyError(f"rational family index must be 1..15, got {i}")
-    return fams[i]
+    *nums, den = _forms(i)
+    return UPoly(den), tuple(map(UPoly, nums))
 
 
 def r_value(i: int, t) -> Tuple[Fraction, ...]:
     """The i-th rational family at any rational argument, exactly."""
-    if i == 0:  # _forms(0) is the quartic family
+    if i not in range(1, 16):  # _forms(0) is the quartic family
         raise KeyError(f"rational family index must be 1..15, got {i}")
     return _family_value(i, t)
 
@@ -625,19 +614,10 @@ _DESCENT_PRIME = 2**31 - 1
 
 @lru_cache(maxsize=None)
 def _forms(index: int) -> Tuple[Tuple[int, ...], ...]:
-    """(n1, n2, n3, n4, den) of r(index), or of the quartic family for
-    index 0, as integer coefficient lists padded with zeros to one length
-    D + 1: the five forms of degree D in (a : b) that the sieve,
-    _family_has, _family_value and _constraints read.  Built on first use,
-    so importing the module and p_family()/r_family() do no extra work."""
-    if index:
-        den, nums = r_family(index)
-    else:
-        d, nums = p_family()
-        den = UPoly((d,))
-    polys = [f.int_coeffs() for f in (*nums, den)]
-    width = max(map(len, polys))
-    return tuple(tuple(cs) + (0,) * (width - len(cs)) for cs in polys)
+    """The forms (n1, n2, n3, n4, den) of r(index), or of the quartic
+    family for index 0, from _family_table: what the sieve, _family_has,
+    _family_value, _constraints and r_family read."""
+    return _family_table()[str(index) if index else "quartic"]
 
 
 # -- residue sieve over P^1(F_l) ----------------------------------------------
@@ -662,15 +642,6 @@ def _projective_key(vals: Sequence[int], ell: int) -> int:
     return key
 
 
-@lru_cache(maxsize=None)
-def _power_rows(ell: int, width: int) -> Tuple[Tuple[int, ...], ...]:
-    """The monomials a^k b^(width-1-k) mod ell, k < width, at every point
-    of P^1(F_ell): (t : 1) for t in F_ell, then (1 : 0)."""
-    rows = [tuple(pow(t, k, ell) for k in range(width)) for t in range(ell)]
-    rows.append((0,) * (width - 1) + (1,))
-    return tuple(rows)
-
-
 def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
     """(image keys, loose) of the map P^1(F_ell) -> P^4(F_ell) given by
     polys, five coefficient lists of one length D + 1, constant first, read
@@ -680,8 +651,8 @@ def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
     common root makes the family loose at ell."""
     keys = set()
     loose = False
-    for row in _power_rows(ell, len(polys[0])):
-        vals = [sum(map(mul, cs, row)) % ell for cs in polys]
+    for a, b in [*((t, 1) for t in range(ell)), (1, 0)]:
+        vals = [_form_value(cs, a, b) % ell for cs in polys]
         if any(vals):
             keys.add(_projective_key(vals, ell))
         else:
@@ -1073,21 +1044,30 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
 # -- aggregate verification ----------------------------------------------------
 
 
-def _buchi_symbolic(comps: Sequence) -> bool:
-    c1, c2, c3, c4 = (RatFunc.of(c) for c in comps)
+def _cleared_on_surface(polys) -> bool:
+    """Both defining equations for (n1/den, ..., n4/den), where polys is
+    (n1, n2, n3, n4, den), cleared of the denominator:
+    n1^2 - 2 n2^2 + n3^2 = 2 den^2, and the same one index on."""
+    n1, n2, n3, n4, den = polys
+    two = 2 * den * den
     return (
-        c1 * c1 - 2 * c2 * c2 + c3 * c3 == 2
-        and c2 * c2 - 2 * c3 * c3 + c4 * c4 == 2
+        n1 * n1 - 2 * n2 * n2 + n3 * n3 == two
+        and n2 * n2 - 2 * n3 * n3 + n4 * n4 == two
     )
 
 
 def verify_families() -> RelationReport:
     """Symbolic self-checks of everything this module loads or derives."""
+    table = _family_table()
+
+    def bundled(name: str) -> bool:
+        return _cleared_on_surface(map(UPoly, table[name]))
+
     entries = []
     n_hi = 6
     entries.append((
         "xi rows satisfy both defining equations symbolically",
-        all(_buchi_symbolic(xi_poly(n)) for n in range(n_hi + 1)),
+        all(_cleared_on_surface((*xi_poly(n), 1)) for n in range(n_hi + 1)),
     ))
     entries.append((
         "xi degrees are 2n+1",
@@ -1112,12 +1092,8 @@ def verify_families() -> RelationReport:
             ok = False
     entries.append(("negative arguments give the four trivial towers", ok))
     entries.append(("growth inequalities", growth_check(10, 10).ok))
-    den, nums = p_family()
-    quartic = tuple(RatFunc(n, UPoly((den,))) for n in nums)
-    entries.append((
-        "quartic family satisfies both equations",
-        _buchi_symbolic(quartic),
-    ))
+    entries.append(("quartic family satisfies both equations", bundled("quartic")))
+    _, nums = p_family()
     even_den, even_nums = p_family("quartic-even")
     odd_den, odd_nums = p_family("quartic-odd")
     two_t = UPoly((0, 2))
@@ -1129,11 +1105,8 @@ def verify_families() -> RelationReport:
         and all(n(two_t) == 4 * e for n, e in zip(nums, even_nums))
         and all(n(four_t1) == 4 * o for n, o in zip(nums, odd_nums)),
     ))
-    tden, tnums = thirds_family()
-    entries.append((
-        "thirds family satisfies both equations",
-        _buchi_symbolic(tuple(RatFunc(n, UPoly((tden,))) for n in tnums)),
-    ))
+    entries.append(("thirds family satisfies both equations", bundled("thirds")))
+    _, tnums = thirds_family()
     entries.append((
         "thirds family numerators never 0 mod 3 together",
         all(
@@ -1143,10 +1116,7 @@ def verify_families() -> RelationReport:
     ))
     entries.append((
         "all fifteen rational families satisfy both equations",
-        all(
-            _buchi_symbolic(tuple(RatFunc(n, r_family(i)[0]) for n in r_family(i)[1]))
-            for i in range(1, 16)
-        ),
+        all(bundled(str(i)) for i in range(1, 16)),
     ))
     ok = True
     for t in range(-8, 9):

@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import product
 from math import gcd, lcm
 from typing import Tuple
 
+from . import assets
 from .mpoly import MPoly4
 from .poly import RatFunc, UPoly, upoly_gcd
 
@@ -182,12 +182,8 @@ class PhiMap:
 
 @lru_cache(maxsize=1)
 def phi_map() -> PhiMap:
-    text = resources.files("buchi4.assets").joinpath("involution.txt").read_text()
     entries = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in assets.lines("involution.txt"):
         name, _, body = line.partition(":")
         entries[name.strip()] = MPoly4.parse(body)
     missing = {"q", "p1", "p2", "p3", "p4"} - entries.keys()

@@ -12,6 +12,7 @@ zero polynomial, so the symbolic verifications below never sample.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from .polytext import format_terms, parse_terms
@@ -180,9 +181,9 @@ class MPoly4:
 
     def normal_form(self) -> "MPoly4":
         """Reduce a-degree then d-degree below 2 via the surface relations."""
-        return self._eliminate(0, _rule_a_pow)._eliminate(3, _rule_d_pow)
+        return self._eliminate(0)._eliminate(3)
 
-    def _eliminate(self, axis: int, rule_pow) -> "MPoly4":
+    def _eliminate(self, axis: int) -> "MPoly4":
         out = MPoly4()
         direct: Dict[Key, int] = {}
         for key, c in self.terms.items():
@@ -197,7 +198,7 @@ class MPoly4:
             q, r = divmod(e, 2)
             base = list(key)
             base[axis] = r
-            out = out + MPoly4({tuple(base): c}) * rule_pow(q)
+            out = out + MPoly4({tuple(base): c}) * _rule_pow(axis, q)
         return out + MPoly4(direct)
 
     def vanishes_on_surface(self) -> bool:
@@ -218,24 +219,18 @@ def _as_mpoly(x):
     return NotImplemented
 
 
-# Right sides of the two rewrite rules, with cached powers; the rules only
-# produce b and c, so elimination terminates in one pass per variable.
-_RULE_A = MPoly4({(0, 2, 0, 0): 2, (0, 0, 2, 0): -1, (0, 0, 0, 0): 2})
-_RULE_D = MPoly4({(0, 0, 2, 0): 2, (0, 2, 0, 0): -1, (0, 0, 0, 0): 2})
-
-_A_POWS = {0: MPoly4.const(1), 1: _RULE_A}
-_D_POWS = {0: MPoly4.const(1), 1: _RULE_D}
-
-
-def _rule_a_pow(q: int) -> MPoly4:
-    got = _A_POWS.get(q)
-    if got is None:
-        got = _A_POWS[q] = _rule_a_pow(q - 1) * _RULE_A
-    return got
+# Right sides of the two rewrite rules, a^2 and d^2, keyed by axis; the
+# rules only produce b and c, so elimination terminates in one pass per
+# variable.
+_RULES = {
+    0: MPoly4({(0, 2, 0, 0): 2, (0, 0, 2, 0): -1, (0, 0, 0, 0): 2}),
+    3: MPoly4({(0, 0, 2, 0): 2, (0, 2, 0, 0): -1, (0, 0, 0, 0): 2}),
+}
 
 
-def _rule_d_pow(q: int) -> MPoly4:
-    got = _D_POWS.get(q)
-    if got is None:
-        got = _D_POWS[q] = _rule_d_pow(q - 1) * _RULE_D
-    return got
+@lru_cache(maxsize=None)
+def _rule_pow(axis: int, q: int) -> MPoly4:
+    """The q-th power of the rewrite rule of axis, cached."""
+    if q == 0:
+        return MPoly4.const(1)
+    return _rule_pow(axis, q - 1) * _RULES[axis]

@@ -17,9 +17,9 @@ compared against the bundled table of 121 reference rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from . import assets
 from .arith import as_perfect_square
 from .factorint import gaussian_factorizations, gaussian_products
 from .families import Classification, classify, extends_left, extends_right
@@ -137,12 +137,8 @@ def bundled_table() -> List[Tuple[int, Seq]]:
     The list is kept verbatim, including one duplicated row, so consumers
     that need set semantics must deduplicate (compare_with_table does).
     """
-    text = resources.files("buchi4.assets").joinpath("sporadic_points.txt").read_text()
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in assets.lines("sporadic_points.txt"):
         idx, *coords = line.split()
         row = tuple(int(c) for c in coords)
         if len(row) != 4 or not on_surface(row):

@@ -122,6 +122,10 @@ def test_table_modes(capsys):
     code, _, err = run(capsys, "table", "--compare")
     assert code == 2 and "--x2-bound" in err
 
+    code, out, err = run(capsys, "table", "--x2-bound", "5")
+    assert code == 2 and not out
+    assert "error: --x2-bound requires --compare" in err
+
 
 def test_verify_exits_zero(capsys):
     code, out, _ = run(capsys, "verify")

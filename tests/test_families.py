@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from importlib import resources
 from math import prod
 
 import pytest
@@ -67,6 +68,7 @@ from buchi4.maps import (
     zeta_inv_vector,
 )
 from buchi4.poly import UPoly, gcd_mod, horner, upoly_gcd
+from buchi4.polytext import format_upoly
 from buchi4.search import bundled_table
 
 # the three low rows, coefficients constant-first
@@ -189,6 +191,9 @@ def test_quartic_family_anchors():
         p_eval(3)
     with pytest.raises(NonIntegral):
         p_eval(-5)
+    with pytest.raises(NonIntegral):
+        p_eval(Fraction(1, 2))  # values over 64, not the numerators
+    assert p_eval(Fraction(4, 2)) == p_eval(2) == (324, 557, 718, 849)
     # rational exactly on t = 3 mod 4; values recomputed from the numerators
     assert p_value(3) == (
         Fraction(1233, 2),
@@ -249,6 +254,62 @@ def test_r_families_all_satisfy_the_equations():
         two_den2 = 2 * den * den
         assert r1 * r1 - 2 * r2 * r2 + r3 * r3 == two_den2
         assert r2 * r2 - 2 * r3 * r3 + r4 * r4 == two_den2
+
+
+def _as_upoly(x):
+    return x if isinstance(x, UPoly) else UPoly((x,))
+
+
+def _raw_family_blocks(asset):
+    """{block name: {key: text}} from the raw text of a bundled family
+    file, read here rather than through the package's own loader."""
+    text = resources.files("buchi4.assets").joinpath(asset).read_text()
+    blocks = {}
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith("["):
+            block = blocks[line[1:-1]] = {}
+        elif line and not line.startswith("#"):
+            key, _, body = line.partition(":")
+            block[key.strip()] = body.strip()
+    return blocks
+
+
+def test_family_polynomials_print_as_their_asset_lines():
+    count = 0
+    variants = ("quartic", "quartic-even", "quartic-odd", "thirds")
+    for asset, family, names in (
+        ("poly_families.txt", p_family, variants),
+        ("rat_families.txt", r_family, range(1, 16)),
+    ):
+        blocks = _raw_family_blocks(asset)
+        assert list(blocks) == [str(name) for name in names]
+        for name in names:
+            den, nums = family(name)
+            got = {"den": format_upoly(_as_upoly(den))}
+            got.update((f"n{j}", format_upoly(n)) for j, n in enumerate(nums, 1))
+            assert got == blocks[str(name)], name
+            count += len(got)
+    assert count == 95
+
+
+def test_family_value_is_the_quotient_of_the_polynomials():
+    grid = [*range(-6, 7)] + [
+        Fraction(a, b) for a in range(-12, 13) for b in (2, 3, 4, 5, 7, 8)
+    ]
+    poles = 0
+    for index in FAMILY_INDICES:
+        den, nums = _family(index)
+        den = _as_upoly(den)
+        for t in grid:
+            d = den(t)
+            if d == 0:
+                poles += 1
+                with pytest.raises(DenominatorVanishes):
+                    families._family_value(index, t)
+            else:
+                want = tuple(n(t) / d for n in nums)
+                assert families._family_value(index, t) == want, (index, t)
+    assert poles  # r3, r4, r6, r7, r8, r11, r12 and r13 vanish at small integers
 
 
 def test_trivial_detection():
