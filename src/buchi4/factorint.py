@@ -79,9 +79,8 @@ def gaussian_factorizations(n_max: int) -> Iterator[tuple[int, GaussianPrimes]]:
             prime[4] = z = _divide_out(rem, found, lo, hi, p, pibar, z)
             if y <= n_max or z <= n_max:
                 live.append(prime)
-        for x in range(lo, hi):
-            p = rem[x - lo]
-            primes = found[x - lo]
+        # _divide_out writes rem only past x, where the zip has yet to read
+        for x, p, primes in zip(range(lo, hi), rem, found):
             if p > 1:
                 comes_back = p - x <= n_max
                 if not (primes or comes_back):
@@ -142,14 +141,20 @@ def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, i
     Conjugating a product flips the choice at every prime, so the first
     prime takes only the conj(pi) side.  When the first prime's e is odd,
     no z comes up twice up to units and conjugation; when it is even, its
-    middle factor p^(e/2) is its own conjugate, and a z can."""
+    middle factor p^(e/2) is its own conjugate, and a z can.
+
+    The order is part of the contract: each running product z is replaced
+    by z f for every factor f of the next prime in the order above, so
+    zs[0] is the all-conjugate product, which enumerate_sequences skips as
+    the trivial one.  A prime of exponent 1, most of them, multiplies
+    z = u + vi in place into z conj(pi), z pi side by side, in integers,
+    with no list of factors; a higher power builds its factors from a table
+    of powers of pi."""
     s = 1 << (two_exp >> 1)
     zs = [(s, s) if two_exp & 1 else (s, 0)]
     first = True
     for (a, b), e in primes:
-        if e == 1:  # most primes: no table of powers
-            factors = [(a, -b)] if first else [(a, -b), (a, b)]
-        else:
+        if e > 1:
             p = a * a + b * b
             powers = [(1, 0)]
             for _ in range(e):
@@ -162,8 +167,20 @@ def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, i
                 factors.append((q * c, -q * d))
             if not first:
                 factors += [(c, -d) for c, d in factors[: (e + 1) // 2]]
+            zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
+        elif first:
+            u, v = zs[0]
+            zs = [(u * a + v * b, v * a - u * b)]
+        else:
+            out = []
+            for u, v in zs:
+                ua = u * a
+                vb = v * b
+                ub = u * b
+                va = v * a
+                out += (ua + vb, va - ub), (ua - vb, ub + va)
+            zs = out
         first = False
-        zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
     return zs
 
 

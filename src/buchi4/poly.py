@@ -85,6 +85,11 @@ class UPoly:
             return self.coeffs[k]
         return Fraction(0)
 
+    def __iter__(self):
+        """The coefficients, constant first, up to the degree: without it,
+        iteration would go through __getitem__ and never stop."""
+        return iter(self.coeffs)
+
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return all(c.denominator == 1 for c in self.coeffs)

@@ -57,17 +57,23 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     for x2, primes in gaussian_factorizations(x2_max):
         # 2 (x2^2 + 1) = |(1 + i)(x2 + i)|^2, with one more 2 when x2 is odd;
         # the first product is the trivial (x2 - 1, x2 + 1)
-        x2_sq = x2 * x2
-        for x1, x3 in gaussian_products(1 + (x2 & 1), primes)[1:]:
-            x1, x3 = abs(x1), abs(x3)
-            if x1 > x3:
-                x1, x3 = x3, x1
-            # x1 <= x3 forces x1 < x2 < x3
-            if 0 < x1:
-                x4 = as_perfect_square(2 * x3 * x3 - x2_sq + 2)
-                # only an even first exponent brings a pair up twice
-                if x4 is not None and (primes[0][1] & 1 or (x1, x2, x3, x4) not in out):
-                    out.append((x1, x2, x3, x4))
+        products = iter(gaussian_products(1 + (x2 & 1), primes))
+        next(products)
+        c = 2 - x2 * x2
+        for u, v in products:
+            if u < 0:
+                u = -u
+            if v < 0:
+                v = -v
+            # the smaller of u, v is x1 < x2, the larger x3 > x2, and x1 > 0
+            if u and v:
+                x3 = u if u > v else v
+                x4 = as_perfect_square(2 * x3 * x3 + c)
+                if x4 is not None:
+                    seq = (u + v - x3, x2, x3, x4)
+                    # only an even first exponent brings a pair up twice
+                    if primes[0][1] & 1 or seq not in out:
+                        out.append(seq)
     return sorted(out)
 
 

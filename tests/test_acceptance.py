@@ -195,6 +195,23 @@ def test_sieve_blocks_do_not_change_the_desk_rows(desk_pipeline, monkeypatch):
     assert rows == [r.seq for r in desk_pipeline]
 
 
+def test_exact_reproduction_where_the_table_is_complete():
+    # The bundled table is complete for x2 <= 47163; the first Sporadic row
+    # it lacks is (1413, 47164, 66685, 81666).  The search spans three
+    # sieve blocks here, and the two table rows it misses lie on the xi
+    # tower, each verdict replaying exactly.
+    records = run_pipeline(47163)
+    comparison = compare_with_table(records, 47163)
+    assert len(comparison.matches) == 71 and comparison.extras == (), str(comparison)
+    table = dict(bundled_table())
+    assert comparison.misses == (table[41], table[69])
+    assert table[69] == (18793, 33744, 43865, 52054)
+    by_seq = {r.seq: r.classification for r in records}
+    for row, verdict in zip(comparison.misses, ("xi:4:0", "xi:3:1")):
+        assert by_seq[row].serialize() == verdict, row
+        assert verify_classification(row, by_seq[row]), row
+
+
 def test_criterion_09_full_table_extension_check():
     rows = bundled_table()
     assert len(rows) == 121

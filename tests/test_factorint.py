@@ -1,5 +1,6 @@
 """Two-squares representations and the segmented sieve of x^2 + 1."""
 
+from itertools import product
 from math import isqrt
 from random import Random
 
@@ -11,6 +12,7 @@ from buchi4 import factorint
 from buchi4.factorint import (
     gaussian_factorizations,
     gaussian_prime,
+    gaussian_products,
     reps_from_primes,
     sqrt_minus_one_mod,
     two_square_reps,
@@ -89,6 +91,34 @@ def lone(x):
     return is_prime(x * x + 1 >> (x & 1))
 
 
+def products_from_the_docstring(two_exp, primes):
+    """gaussian_products built as its docstring describes it: per prime,
+    the factors p^m conj(pi)^(e-2m) for 0 <= m <= e // 2, then their
+    conjugates for 2m < e, the first prime on the conjugate side only;
+    then every choice of one factor per prime, the last prime's choice
+    varying fastest, times 2^(two_exp // 2) (1 + i)^(two_exp % 2)."""
+    choices = []
+    for k, ((a, b), e) in enumerate(primes):
+        p = a * a + b * b
+        side = []
+        for m in range(e // 2 + 1):
+            z = (p**m, 0)
+            for _ in range(e - 2 * m):
+                z = gmul(z, (a, -b))
+            side.append(z)
+        conjugates = [(c, -d) for m, (c, d) in enumerate(side) if 2 * m < e]
+        choices.append(side if k == 0 else side + conjugates)
+    s = 2 ** (two_exp // 2)
+    base = (s, s) if two_exp % 2 else (s, 0)
+    zs = []
+    for factors in product(*choices):
+        z = base
+        for f in factors:
+            z = gmul(z, f)
+        zs.append(z)
+    return zs
+
+
 def test_two_square_reps_matches_brute_force():
     assert two_square_reps(-1) == []
     for n in range(5000):
@@ -141,10 +171,38 @@ def test_gaussian_reps_from_the_sieve_match_brute_force():
     stream = dict(gaussian_factorizations(3000))
     for x in range(2, 3001):
         if x in stream:
+            zs = gaussian_products(1 + (x & 1), stream[x])
+            assert zs == products_from_the_docstring(1 + (x & 1), stream[x]), x
             reps = reps_from_primes(1, 1 + (x & 1), stream[x])
         else:
             reps = [(x - 1, x + 1)]
         assert reps == brute_reps(2 * x * x + 2), x
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        (),
+        (1,),
+        (2,),
+        (1, 1, 1),
+        (1, 2),  # e = 1 first, then e >= 2
+        (2, 1),  # e >= 2 first, an even first exponent
+        (3, 1, 2),  # an odd first exponent above 1
+        (1, 4, 1, 3),
+        (4, 3, 1, 1),
+    ],
+)
+def test_gaussian_products_keep_their_order(exponents):
+    # the search skips zs[0] as the trivial product, so the order, not
+    # only the set, is what gaussian_products promises
+    norms = (5, 13, 17, 29)
+    primes = [
+        (gaussian_prime(p, sqrt_minus_one_mod(p)), e) for p, e in zip(norms, exponents)
+    ]
+    for two_exp in range(4):
+        zs = gaussian_products(two_exp, primes)
+        assert zs == products_from_the_docstring(two_exp, primes), two_exp
 
 
 def test_one_split_prime_gives_only_the_trivial_representation():

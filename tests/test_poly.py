@@ -32,6 +32,14 @@ def test_construction_and_degree():
     assert UPoly(()).is_zero() and UPoly(()).degree == -1
 
 
+def test_iteration_stops_at_the_degree():
+    # __getitem__ is 0 past the degree, so iteration must not fall back on it
+    assert list(T**2 + 1) == [1, 0, 1]
+    assert tuple(2 * T) == (0, 2)
+    assert UPoly(T + 1) == T + 1
+    assert list(UPoly()) == []
+
+
 def test_ring_arithmetic():
     p = (T + 1) * (T + 2)
     assert p == UPoly((2, 3, 1))
