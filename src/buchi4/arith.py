@@ -16,7 +16,6 @@ __all__ = [
     "as_perfect_square",
     "is_perfect_square",
     "square_residue_filter",
-    "parse_int",
     "parse_rational",
     "format_rational",
 ]
@@ -53,10 +52,6 @@ def as_perfect_square(n: int) -> int | None:
 
 def is_perfect_square(n: int) -> bool:
     return as_perfect_square(n) is not None
-
-
-def parse_int(s: str) -> int:
-    return int(s.strip(), 10)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -18,26 +18,17 @@ from typing import List, Optional
 
 from .arith import format_rational
 from .curves import curve_rhs, is_squarefree, scan_csv
-from .families import (
-    classify,
-    descent_chain,
-    extends_left,
-    extends_right,
-    verify_families,
-    xi_eval,
-    xi_poly,
-)
+from .families import classify, descent_chain, verify_families, xi_eval, xi_poly
 from .maps import verify_group_relations
 from .polytext import format_upoly
 from .search import (
-    SearchRecord,
     bundled_table,
     compare_with_table,
-    enumerate_sequences,
     plot_data,
     records_csv,
     records_json,
     run_pipeline,
+    search_records,
 )
 
 __all__ = ["main", "build_parser"]
@@ -61,15 +52,7 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    records = [
-        SearchRecord(
-            seq=seq,
-            classification=classify(seq) if args.classify else None,
-            extends_left=extends_left(seq) if args.extend else None,
-            extends_right=extends_right(seq) if args.extend else None,
-        )
-        for seq in enumerate_sequences(args.x2_max)
-    ]
+    records = search_records(args.x2_max, args.classify, args.extend)
     if args.format == "json":
         print(json.dumps(records_json(records), indent=2))
     else:

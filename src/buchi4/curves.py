@@ -101,11 +101,17 @@ def is_squarefree(curve) -> bool:
 # -- integer point scans ----------------------------------------------------
 
 
-# Horner inlined, not poly.horner: a call per t slows the scan by ~10%.
-def _scan_chunk(coeffs: List[int], t_min: int, t_max: int) -> List[Tuple[int, int]]:
+def scan_integer_points(
+    curve: CurveSpec, t_min: int, t_max: int
+) -> List[Tuple[int, int]]:
+    """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
+    in t."""
+    if t_min > t_max:
+        raise ValueError("empty range")
     hits = []
-    rev = coeffs[::-1]
+    rev = curve.rhs.int_coeffs()[::-1]
     for t in range(t_min, t_max + 1):
+        # Horner inlined, not poly.horner: a call per t slows the scan by ~10%.
         acc = 0
         for c in rev:
             acc = acc * t + c
@@ -115,16 +121,6 @@ def _scan_chunk(coeffs: List[int], t_min: int, t_max: int) -> List[Tuple[int, in
         if y is not None:
             hits.append((t, y))
     return hits
-
-
-def scan_integer_points(
-    curve: CurveSpec, t_min: int, t_max: int
-) -> List[Tuple[int, int]]:
-    """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
-    in t."""
-    if t_min > t_max:
-        raise ValueError("empty range")
-    return _scan_chunk(curve.rhs.int_coeffs(), t_min, t_max)
 
 
 def scan_csv(curve: CurveSpec, t_min: int, t_max: int) -> Iterable[str]:

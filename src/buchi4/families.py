@@ -132,26 +132,19 @@ def xi_poly(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
     return _xi_rows[n]
 
 
-@lru_cache(maxsize=1)
-def _xi1_ints() -> Tuple[Tuple[int, ...], ...]:
-    """xi(1, t) as integer coefficient lists, for evaluation."""
-    return tuple(tuple(p.int_coeffs()) for p in xi_poly(1))
-
-
 def xi_eval(n: int, t) -> Tuple:
-    """xi(n, t) at a number, by running the recurrence on values."""
+    """xi(n, t) at a number, by running the recurrence on values n steps
+    from xi(-1, t) = f xi(0, t) - xi(1, t) = (t+4, -t-3, -t-2, t+1) and
+    xi(0, t), so no polynomial is evaluated."""
     if n < 0:
         raise ValueError("negative index")
     if isinstance(t, Fraction) and t.denominator == 1:
         t = t.numerator
-    cur = tuple(t + i for i in range(1, 5))
-    if n == 0:
-        return cur
+    prev, cur = (t + 4, -t - 3, -t - 2, t + 1), (t + 1, t + 2, t + 3, t + 4)
     ft = 2 * t * t + 10 * t + 10
-    nxt = tuple(horner(cs, t) for cs in _xi1_ints())
-    for _ in range(n - 1):
-        cur, nxt = nxt, tuple(ft * b - a for a, b in zip(cur, nxt))
-    return nxt
+    for _ in range(n):
+        prev, cur = cur, tuple(ft * b - a for a, b in zip(prev, cur))
+    return cur
 
 
 # -- xi in closed form --------------------------------------------------------
@@ -282,7 +275,7 @@ def _family_table() -> dict:
     """Every bundled family, keyed by block name ('quartic', 'quartic-even',
     'quartic-odd', 'thirds', '1'..'15'), as (n1, n2, n3, n4, den): integer
     coefficient lists, constant first, padded with zeros to one length
-    D + 1, which _form_value reads as forms of degree D in (a : b)."""
+    D + 1, which horner reads as forms of degree D in (a : b)."""
     blocks: dict = {}
     for asset in ("poly_families.txt", "rat_families.txt"):
         for line in assets.lines(asset):
@@ -317,7 +310,7 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 def _family_value(index: int, t) -> Tuple[Fraction, ...]:
     """r(index) at t, or the quartic family for index 0: with t = a/b,
     n_j(t)/den(t) = N_j(a, b)/Den(a, b) for the forms of _forms."""
-    *nums, den = (_form_value(cs, t.numerator, t.denominator) for cs in _forms(index))
+    *nums, den = (horner(cs, t.numerator, t.denominator) for cs in _forms(index))
     if den == 0:
         raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
     return tuple(Fraction(n, den) for n in nums)
@@ -482,7 +475,10 @@ class Classification:
     @classmethod
     def parse(cls, text: str) -> "Classification":
         """Inverse of serialize (witness data and the trivial x are not
-        part of the serialized form and come back empty)."""
+        part of the serialized form and come back empty).  Only what
+        classify can return parses: a lift has k >= 1 over a trivial, xi,
+        p or r base, xi has n >= 1 and an integer t >= 0, and r an index
+        in 1..15; anything else raises ValueError."""
         text = text.strip()
         if text == "trivial":
             return cls("trivial")
@@ -492,18 +488,25 @@ class Classification:
             head, _, rest = text.partition("(")
             if not rest.endswith(")"):
                 raise ValueError(f"malformed lift serialization {text!r}")
-            return cls("lift", base=cls.parse(rest[:-1]), lifts=int(head[5:]))
+            lifts, base = int(head[5:]), cls.parse(rest[:-1])
+            if lifts < 1 or base.kind in ("lift", "sporadic"):
+                raise ValueError(f"no lift serializes as {text!r}")
+            return cls("lift", base=base, lifts=lifts)
         kind, _, rest = text.partition(":")
         if kind == "xi":
             n_s, _, t_s = rest.partition(":")
-            return cls("xi", n=int(n_s), t=_as_int_if_whole(parse_rational(t_s)))
+            n, t = int(n_s), parse_rational(t_s)
+            if n < 1 or t.denominator != 1 or t < 0:
+                raise ValueError(f"xi needs n >= 1 and an integer t >= 0: {text!r}")
+            return cls("xi", n=n, t=t.numerator)
         if kind == "p":
             return cls("p", t=_as_int_if_whole(parse_rational(rest)))
         if kind == "r":
             i_s, _, t_s = rest.partition(":")
-            return cls(
-                "r", index=int(i_s), t=_as_int_if_whole(parse_rational(t_s))
-            )
+            index = int(i_s)
+            if index not in range(1, 16):
+                raise ValueError(f"rational family index must be 1..15: {text!r}")
+            return cls("r", index=index, t=_as_int_if_whole(parse_rational(t_s)))
         raise ValueError(f"unrecognized classification {text!r}")
 
     def to_json(self) -> dict:
@@ -545,7 +548,8 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
     (gcd_mod), does not divide b, and a/b mod p is a simple root of g mod
     p.  Newton's step lifts each such root uniquely mod m = p^2, p^4, ...
     until m > 2 H^2, H = max(|g(0)|, lc(g)) >= |a|, b, so a/b is the one
-    fraction rational_reconstruction rebuilds; it is kept if g(a/b) = 0.
+    fraction rational_reconstruction rebuilds; it is kept if b^D g(a/b) = 0,
+    D = deg g, which horner computes in integers.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
@@ -569,7 +573,7 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
             m *= m
             r = (r - horner(g, r) * pow(horner(dg, r), -1, m)) % m
         t = rational_reconstruction(r, m)
-        if t is not None and horner(g, t) == 0:
+        if t is not None and horner(g, t.numerator, t.denominator) == 0:
             roots.append(t)
     return sorted(roots)
 
@@ -652,7 +656,7 @@ def _residue_image(polys, ell: int) -> Tuple[frozenset, bool]:
     keys = set()
     loose = False
     for a, b in [*((t, 1) for t in range(ell)), (1, 0)]:
-        vals = [_form_value(cs, a, b) % ell for cs in polys]
+        vals = [horner(cs, a, b) % ell for cs in polys]
         if any(vals):
             keys.add(_projective_key(vals, ell))
         else:
@@ -761,24 +765,12 @@ def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
     )
 
 
-def _form_value(cs: Sequence[int], a: int, b: int) -> int:
-    """The form sum c_k a^k b^(D-k) of degree D = len(cs) - 1, cs constant
-    first, by Horner's rule in a."""
-    acc, bk = 0, 1
-    for c in reversed(cs):
-        acc = acc * a + c * bk
-        bk *= b
-    return acc
-
-
 def _family_has(index: int, t: Fraction, v: Tuple[int, ...]) -> bool:
     """Whether the family value at t is the point of the primitive vector
     v = (A1, ..., A4, L).  With t = a/b, the homogenized forms give
     n_j(t)/den(t) = N_j(a, b)/Den(a, b), so the test is Den(a, b) != 0 and
     N_j(a, b) L = A_j Den(a, b) for j = 1..4."""
-    *nums, den = (
-        _form_value(cs, t.numerator, t.denominator) for cs in _forms(index)
-    )
+    *nums, den = (horner(cs, t.numerator, t.denominator) for cs in _forms(index))
     ell = v[4]
     return den != 0 and all(n * ell == x * den for n, x in zip(nums, v))
 
@@ -1044,30 +1036,18 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
 # -- aggregate verification ----------------------------------------------------
 
 
-def _cleared_on_surface(polys) -> bool:
-    """Both defining equations for (n1/den, ..., n4/den), where polys is
-    (n1, n2, n3, n4, den), cleared of the denominator:
-    n1^2 - 2 n2^2 + n3^2 = 2 den^2, and the same one index on."""
-    n1, n2, n3, n4, den = polys
-    two = 2 * den * den
-    return (
-        n1 * n1 - 2 * n2 * n2 + n3 * n3 == two
-        and n2 * n2 - 2 * n3 * n3 + n4 * n4 == two
-    )
-
-
 def verify_families() -> RelationReport:
     """Symbolic self-checks of everything this module loads or derives."""
     table = _family_table()
 
     def bundled(name: str) -> bool:
-        return _cleared_on_surface(map(UPoly, table[name]))
+        return vector_on_surface(tuple(map(UPoly, table[name])))
 
     entries = []
     n_hi = 6
     entries.append((
         "xi rows satisfy both defining equations symbolically",
-        all(_cleared_on_surface((*xi_poly(n), 1)) for n in range(n_hi + 1)),
+        all(vector_on_surface((*xi_poly(n), 1)) for n in range(n_hi + 1)),
     ))
     entries.append((
         "xi degrees are 2n+1",

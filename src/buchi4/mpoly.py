@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from .poly import RingElement
 from .polytext import format_terms, parse_terms
 
 __all__ = ["MPoly4", "VARS"]
@@ -23,7 +24,7 @@ VARS = "abcd"
 Key = Tuple[int, int, int, int]
 
 
-class MPoly4:
+class MPoly4(RingElement):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Dict[Key, int] | None = None):
@@ -73,15 +74,6 @@ class MPoly4:
     def __neg__(self):
         return MPoly4({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = _as_mpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_mpoly(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
@@ -101,18 +93,6 @@ class MPoly4:
         return MPoly4(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly4.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         other = _as_mpoly(other)

@@ -15,8 +15,12 @@ Its integer core also serves integer coefficient lists directly.  gcd_mod is
 the one modular Euclid: a constant gcd mod p certifies a constant gcd over
 the rationals, so callers can skip the exact gcd, and
 rational_reconstruction turns a residue mod any m >= 2, such as the root
-of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.  horner evaluates any coefficient sequence, UPoly coefficients and
-plain integer lists alike.
+of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.
+
+horner is the one evaluator of coefficient sequences, UPoly coefficients
+and plain integer lists alike, at x or as a homogeneous form at (x, y).
+RingElement states subtraction and powers once for every ring here and for
+mpoly.MPoly4.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "RatFunc",
     "QuadExt",
     "NonExactDivision",
+    "RingElement",
     "T",
     "QUAD_MODULUS",
     "horner",
@@ -46,7 +51,33 @@ class NonExactDivision(ArithmeticError):
     """Polynomial division left a nonzero remainder where none was allowed."""
 
 
-class UPoly:
+class RingElement:
+    """Subtraction and nonnegative powers, stated once for UPoly, RatFunc,
+    QuadExt and mpoly.MPoly4 from their +, unary - and *; the sum and
+    product of the subclass decide what a mixed operand coerces to."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        """Repeated squaring from the one of the ring, self * 0 + 1."""
+        if n < 0:
+            raise ValueError("negative power of a ring element")
+        result, base = self * 0 + 1, self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class UPoly(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
@@ -118,18 +149,6 @@ class UPoly:
     def __neg__(self):
         return UPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -148,18 +167,6 @@ class UPoly:
         return UPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "UPoly"):
         other = _coerce(other)
@@ -241,15 +248,19 @@ def _coerce(x) -> UPoly:
 T = UPoly.variable()
 
 
-def horner(coeffs: Sequence, x):
-    """Horner evaluation of a coefficient sequence, lowest degree first, at
-    x; 0 when there are no coefficients.  Integer coefficients at an integer
-    x stay in int."""
+def horner(coeffs: Sequence, x, y=1):
+    """The form sum c_k x^k y^(D-k) of degree D = len(coeffs) - 1, coeffs
+    lowest degree first, by Horner's rule in x: the polynomial at x when
+    y = 1, y^D p(x/y) at a fraction x/y, the leading coefficient at
+    (1, 0); 0 when there are no coefficients.  It starts from the leading
+    coefficient itself, so a constant comes back as its coefficient at any
+    argument, and integer coefficients at integer x, y stay in int."""
     if not coeffs:
         return 0
-    acc = coeffs[-1]
+    acc, yk = coeffs[-1], 1
     for c in coeffs[-2::-1]:
-        acc = acc * x + c
+        yk *= y
+        acc = acc * x + c * yk
     return acc
 
 
@@ -387,7 +398,7 @@ def _rem_mod(f: list[int], g: list[int], p: int) -> list[int]:
 # -- rational functions -----------------------------------------------------
 
 
-class RatFunc:
+class RatFunc(RingElement):
     """Reduced quotient num/den of polynomials, denominator monic."""
 
     __slots__ = ("num", "den")
@@ -436,12 +447,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-RatFunc.of(other))
-
-    def __rsub__(self, other):
-        return RatFunc.of(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, (int, Fraction, UPoly, RatFunc)):
             return NotImplemented
@@ -487,7 +492,7 @@ class RatFunc:
 QUAD_MODULUS = (T + 1) * (T + 2) * (T + 3) * (T + 4)
 
 
-class QuadExt:
+class QuadExt(RingElement):
     """Element u + v*alpha of Q(t)[alpha], alpha^2 = (t+1)(t+2)(t+3)(t+4)."""
 
     __slots__ = ("u", "v")
@@ -509,15 +514,6 @@ class QuadExt:
 
     def __neg__(self):
         return QuadExt(-self.u, -self.v)
-
-    def __sub__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _quad(other) + (-self)
 
     def __mul__(self, other):
         other = _quad(other)
@@ -544,15 +540,8 @@ class QuadExt:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.inverse() ** -n
+        return super().__pow__(n)
 
     def __eq__(self, other):
         other = _quad(other)

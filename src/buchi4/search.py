@@ -29,6 +29,7 @@ __all__ = [
     "SearchRecord",
     "TableComparison",
     "enumerate_sequences",
+    "search_records",
     "run_pipeline",
     "bundled_table",
     "compare_with_table",
@@ -81,7 +82,8 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
 class SearchRecord:
     """One search result: the sequence, where it came from, and the
     nonnegative fifth values extending it on each side (None if none).
-    The CLI leaves classification None when it is not asked to classify."""
+    search_records leaves classification and the extension values None
+    when they are not asked for."""
 
     seq: Seq
     classification: Optional[Classification]
@@ -108,17 +110,25 @@ class SearchRecord:
         }
 
 
-def run_pipeline(x2_max: int) -> List[SearchRecord]:
-    """Enumerate, classify, and extension-test everything up to the bound."""
+def search_records(
+    x2_max: int, classified: bool, extended: bool
+) -> List[SearchRecord]:
+    """A record for every sequence up to the bound, classified and
+    extension-tested as asked; what is not asked for stays None."""
     return [
         SearchRecord(
             seq=seq,
-            classification=classify(seq),
-            extends_left=extends_left(seq),
-            extends_right=extends_right(seq),
+            classification=classify(seq) if classified else None,
+            extends_left=extends_left(seq) if extended else None,
+            extends_right=extends_right(seq) if extended else None,
         )
         for seq in enumerate_sequences(x2_max)
     ]
+
+
+def run_pipeline(x2_max: int) -> List[SearchRecord]:
+    """Enumerate, classify, and extension-test everything up to the bound."""
+    return search_records(x2_max, classified=True, extended=True)
 
 
 CSV_HEADER = "x1,x2,x3,x4,classification,extends_left,extends_right"

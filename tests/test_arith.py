@@ -11,7 +11,6 @@ from buchi4.arith import (
     format_rational,
     is_perfect_square,
     isqrt,
-    parse_int,
     parse_rational,
     square_residue_filter,
 )
@@ -66,7 +65,6 @@ def test_residue_filter_is_only_necessary():
 
 
 def test_parse_and_format():
-    assert parse_int(" 42 ") == 42
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert format_rational(Fraction(8, 4)) == "2"

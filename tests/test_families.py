@@ -437,6 +437,32 @@ def test_serialization_round_trips():
     assert parsed.kind == "trivial" and parsed.serialize() == "trivial"
 
 
+def test_parse_rejects_what_classify_never_returns():
+    for text in [
+        "zeta^0(xi:1:0)",
+        "zeta^-2(xi:1:0)",
+        "zeta^1(zeta^1(xi:1:0))",
+        "zeta^1(sporadic)",
+        "xi:0:3",
+        "xi:1:1/2",
+        "xi:1:-1",
+        "r:99:1",
+        "r:0:1",
+    ]:
+        with pytest.raises(ValueError):
+            Classification.parse(text)
+    for text in [
+        "zeta^1(trivial)",
+        "zeta^2(r:3:7)",
+        "zeta^3(xi:2:5)",
+        "zeta^1(p:-1/2)",
+        "xi:1:0",
+        "r:15:-3/4",
+        "r:1:2",
+    ]:
+        assert Classification.parse(text).serialize() == text
+
+
 def test_descent_chain_reaches_the_orbit_base():
     chain = descent_chain((5781, 22342, 31063, 37824))
     assert chain[0] == (5781, 22342, 31063, 37824)

@@ -55,6 +55,16 @@ def test_arithmetic_and_evaluate():
     assert ((A + 1) ** 3).evaluate((1, 0, 0, 0)) == 8
 
 
+def test_powers_are_repeated_products():
+    p = A - 2 * B + C * D + 3
+    acc = MPoly4.const(1)
+    for n in range(7):
+        assert p**n == acc
+        acc = acc * p
+    assert (A - B) ** 2 == A * A - 2 * A * B + B * B
+    assert 5 - A == -(A - 5)
+
+
 def test_degrees():
     p = A * A * D + B * C
     assert p.total_degree() == 3

@@ -17,6 +17,7 @@ from buchi4.poly import (
     rational_reconstruction,
     upoly_gcd,
 )
+from buchi4.mpoly import MPoly4
 from buchi4.polytext import format_upoly, parse_upoly
 
 small_polys = st.lists(
@@ -169,6 +170,47 @@ def test_horner():
     assert UPoly(())(T) == 0 and type(UPoly(())(T)) is Fraction
     assert type(UPoly((3,))(T)) is Fraction
     assert parse_upoly("t^2 + 1")(T + 1) == parse_upoly("t^2 + 2t + 2")
+
+
+def test_horner_as_a_homogeneous_form():
+    cs = [6, 19, 12, 2]
+    # (x, y) = (1, 0) keeps only the leading coefficient
+    assert horner(cs, 1, 0) == 2
+    assert horner([5, 0, 0], 1, 0) == 0
+    # y^D p(x/y) at fractions x/y, in integers
+    for x, y in [(1, 2), (-3, 4), (7, 1), (0, 5), (-5, 3)]:
+        want = Fraction(y) ** 3 * horner(cs, Fraction(x, y))
+        got = horner(cs, x, y)
+        assert got == want and type(got) is int
+    # a constant evaluates to its coefficient at any argument, a UPoly too
+    assert horner((Fraction(3),), T) == 3 and type(horner((Fraction(3),), T)) is Fraction
+    assert horner((7,), 2, 5) == 7
+    assert horner([], 1, 0) == 0
+
+
+def test_ring_element_zeroth_power_is_one():
+    for p in (T + 2, RatFunc(T, T + 1), QuadExt(T, 2), MPoly4.parse("a - 2c")):
+        assert p**0 == 1
+    assert QuadExt(T, 2) ** 0 == QuadExt(1)
+    with pytest.raises(ValueError):
+        (T + 1) ** -1
+
+
+def test_ring_element_subtraction_from_both_sides():
+    assert 1 - T == UPoly((1, -1))
+    assert Fraction(1, 2) - RatFunc(1, T) == RatFunc(T - 2, 2 * T)
+    assert RatFunc(1, T) - T == RatFunc(1 - T * T, T)
+    assert 3 - QuadExt(T, 2) == QuadExt(3 - T, -2)
+    assert T - QuadExt(T, 2) == QuadExt(0, -2)
+    assert RatFunc(T, T + 1) ** 2 == RatFunc(T * T, (T + 1) ** 2)
+
+
+def test_quadext_negative_powers_are_powers_of_the_inverse():
+    for x in (QuadExt(T * T + 5 * T + 5, 1), QuadExt(T, 2), QuadExt(RatFunc(1, T), T)):
+        inv = x.inverse()
+        assert x**-1 == inv
+        assert x**-3 == inv * inv * inv
+        assert x**-2 * x**2 == QuadExt(1)
 
 
 def test_text_round_trip():
