@@ -6,7 +6,6 @@ and a bounded exhaustive search with a bundled reference table.
 """
 
 from .arith import as_perfect_square, is_perfect_square, isqrt
-from .curves import CurveSpec, curve_rhs, is_squarefree, scan_integer_points
 from .families import (
     Classification,
     classify,
@@ -20,7 +19,6 @@ from .families import (
     prop33_solve,
     r_eval,
     r_value,
-    verify_families,
     xi_closed_form,
     xi_eval,
     xi_poly,
@@ -32,17 +30,9 @@ from .maps import (
     normalize_point,
     on_surface,
     pell,
-    verify_group_relations,
     zeta_orbit,
 )
 from .poly import QuadExt, RatFunc, UPoly
-from .search import (
-    SearchRecord,
-    bundled_table,
-    compare_with_table,
-    enumerate_sequences,
-    run_pipeline,
-)
 
 __version__ = "0.1.0"
 
@@ -88,3 +78,33 @@ __all__ = [
     "compare_with_table",
     "__version__",
 ]
+
+# Resolved on first access (PEP 562), so that a caller who needs neither
+# the extension curves, the search nor the self-checks does not load them.
+_LAZY = {
+    "verify_group_relations": "verify",
+    "verify_families": "verify",
+    "CurveSpec": "curves",
+    "curve_rhs": "curves",
+    "is_squarefree": "curves",
+    "scan_integer_points": "curves",
+    "SearchRecord": "search",
+    "enumerate_sequences": "search",
+    "run_pipeline": "search",
+    "bundled_table": "search",
+    "compare_with_table": "search",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

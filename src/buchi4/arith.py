@@ -9,7 +9,7 @@ string round-trips used by the CLI and the asset files.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 __all__ = [
     "isqrt",
@@ -29,10 +29,24 @@ _MASK64 = 0
 for _r in range(64):
     _MASK64 |= 1 << (_r * _r % 64)
 
-_TABLE = bytearray(_MOD)
-for _r in range(_MOD // 2 + 1):  # r^2 = (_MOD - r)^2, so half the roots suffice
-    _TABLE[_r * _r % _MOD] = 1
-_TABLE = bytes(_TABLE)
+
+def _square_table(moduli) -> bytes:
+    """Byte n is 1 exactly when n is a square modulo the product of the
+    pairwise coprime moduli.  By the Chinese remainder theorem that holds
+    when n is a square modulo each one, so the table is the AND of each
+    modulus's pattern of squares, repeated to the full length; the AND runs
+    on the bytes read as one big integer."""
+    size = prod(moduli)
+    table = -1
+    for m in moduli:
+        pattern = bytearray(m)
+        for r in range(m):
+            pattern[r * r % m] = 1
+        table &= int.from_bytes(pattern * (size // m), "big")
+    return table.to_bytes(size, "big")
+
+
+_TABLE = _square_table((9, 5, 7, 11, 13))
 
 
 def square_residue_filter(n: int) -> bool:

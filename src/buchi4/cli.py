@@ -6,35 +6,25 @@ suites, `xi` prints a parametrization row (symbolically or at a value),
 and `descend` inspect a single quadruple, `curve` prints and scans the
 length-5 extension curves, and `table` reproduces the bundled reference
 table comparison.  Exit status is 0 on success and nonzero when a
-verification or comparison fails.
+verification or comparison fails.  Each subcommand imports the modules it
+uses when it runs, so a `classify` call loads neither the search nor the
+curves.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
 from .arith import format_rational
-from .curves import curve_rhs, is_squarefree, scan_csv
-from .families import classify, descent_chain, verify_families, xi_eval, xi_poly
-from .maps import verify_group_relations
-from .polytext import format_upoly
-from .search import (
-    bundled_table,
-    compare_with_table,
-    plot_data,
-    records_csv,
-    records_json,
-    run_pipeline,
-    search_records,
-)
 
 __all__ = ["main", "build_parser"]
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_families, verify_group_relations
+
     ok = True
     for report in (verify_group_relations(), verify_families()):
         print(report)
@@ -43,6 +33,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_xi(args) -> int:
+    from .families import xi_eval, xi_poly
+    from .polytext import format_upoly
+
     if args.t is None:
         for i, p in enumerate(xi_poly(args.n), start=1):
             print(f"x{i} = {format_upoly(p)}")
@@ -52,6 +45,10 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    import json
+
+    from .search import records_csv, records_json, search_records
+
     records = search_records(args.x2_max, args.classify, args.extend)
     if args.format == "json":
         print(json.dumps(records_json(records), indent=2))
@@ -62,6 +59,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .families import classify
+
     print(classify(tuple(args.values)).describe())
     return 0
 
@@ -71,6 +70,8 @@ def _fmt_point(pt) -> str:
 
 
 def _cmd_descend(args) -> int:
+    from .families import classify, descent_chain
+
     seq = tuple(args.values)
     for pt in descent_chain(seq):
         print(_fmt_point(pt))
@@ -79,6 +80,8 @@ def _cmd_descend(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    from .curves import curve_rhs, is_squarefree, scan_csv
+
     spec = curve_rhs(args.n, args.side)
     print(spec.display())
     if args.squarefree:
@@ -95,6 +98,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .search import bundled_table, compare_with_table, plot_data, run_pipeline
+
     if args.compare:
         if args.x2_bound is None:
             print("error: --compare requires --x2-bound", file=sys.stderr)

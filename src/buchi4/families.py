@@ -1,4 +1,4 @@
-"""Parametrization families, structural checks, and the point classifier.
+"""Parametrization families and the point classifier.
 
 Families:
 
@@ -37,7 +37,6 @@ from .maps import (
     IDENTITY,
     TAU,
     DenominatorVanishes,
-    RelationReport,
     TrivialInvolution,
     apply_zeta,
     from_vector,
@@ -58,7 +57,7 @@ from .poly import (
     rational_reconstruction,
     upoly_gcd,
 )
-from .polytext import parse_upoly
+from .polytext import parse_coeffs, parse_upoly
 
 __all__ = [
     "NonIntegral",
@@ -67,9 +66,6 @@ __all__ = [
     "xi_eval",
     "xi_closed_form",
     "prop33_solve",
-    "symmetry_check",
-    "negative_t_forms",
-    "growth_check",
     "p_family",
     "p_value",
     "p_eval",
@@ -87,7 +83,6 @@ __all__ = [
     "classify",
     "descent_chain",
     "verify_classification",
-    "verify_families",
 ]
 
 
@@ -149,16 +144,19 @@ def xi_eval(n: int, t) -> Tuple:
 
 # -- xi in closed form --------------------------------------------------------
 
-_CLOSED_A = tuple(
-    parse_upoly(s)
-    for s in (
-        "t^3 + 6t^2 + 9t + 1",
-        "t^3 + 7t^2 + 16t + 13",
-        "t^3 + 8t^2 + 21t + 17",
-        "t^3 + 9t^2 + 24t + 19",
+@lru_cache(maxsize=1)
+def _closed_form_data() -> Tuple[Tuple[UPoly, ...], QuadExt]:
+    """(A_1, ..., A_4) and beta of xi_closed_form, built on its first call."""
+    closed_a = tuple(
+        parse_upoly(s)
+        for s in (
+            "t^3 + 6t^2 + 9t + 1",
+            "t^3 + 7t^2 + 16t + 13",
+            "t^3 + 8t^2 + 21t + 17",
+            "t^3 + 9t^2 + 24t + 19",
+        )
     )
-)
-_BETA = QuadExt(parse_upoly("t^2 + 5t + 5"), 1)
+    return closed_a, QuadExt(parse_upoly("t^2 + 5t + 5"), 1)
 
 
 def xi_closed_form(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
@@ -168,10 +166,11 @@ def xi_closed_form(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
     and B_i = t + i.  The component must come out a polynomial."""
     if n < 0:
         raise ValueError("negative index")
-    bn = _BETA**n
+    closed_a, beta = _closed_form_data()
+    bn = beta**n
     out = []
     for i in range(4):
-        x = QuadExt(_CLOSED_A[i], _XI0[i]) * bn
+        x = QuadExt(closed_a[i], _XI0[i]) * bn
         if not x.v.is_polynomial():
             raise ArithmeticError("closed form is not a polynomial")
         out.append(x.v.as_upoly())
@@ -210,63 +209,6 @@ def prop33_solve(alpha, u0, u1, u2, n: int, parity: str):
     raise ValueError("parity must be 'even' or 'odd'")
 
 
-# -- structural facts about xi ------------------------------------------------
-
-_NEG_SHIFT = UPoly((-5, -1))  # t -> -t - 5
-
-
-def symmetry_check(n: int) -> bool:
-    """xi4(n, t) = -xi1(n, -t-5) and xi3(n, t) = -xi2(n, -t-5), symbolically."""
-    x1, x2, x3, x4 = xi_poly(n)
-    return x4 == -(x1(_NEG_SHIFT)) and x3 == -(x2(_NEG_SHIFT))
-
-
-def negative_t_forms(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """xi(n, t) for t = -1, -2, -3, -4: four trivial sequences with simple
-    closed forms, asserted against the recurrence before being returned."""
-    sign = 1 if n % 2 == 0 else -1
-    expected = (
-        (-3 * n, 3 * n + 1, 3 * n + 2, 3 * n + 3),
-        tuple(sign * v for v in (n - 1, -n, n + 1, n + 2)),
-        tuple(sign * v for v in (-n - 2, -n - 1, n, -n + 1)),
-        (-3 * n - 3, -3 * n - 2, -3 * n - 1, 3 * n),
-    )
-    for t, want in zip((-1, -2, -3, -4), expected):
-        got = xi_eval(n, t)
-        if got != want:
-            raise ArithmeticError(f"xi({n}, {t}) = {got}, expected {want}")
-        if trivial_parameter(got) is None:
-            raise ArithmeticError(f"xi({n}, {t}) is not trivial")
-    return expected
-
-
-def growth_check(n_max: int, t_max: int) -> RelationReport:
-    """Exact growth inequalities for 1 <= n <= n_max, 0 <= t <= t_max:
-    component ratio > 2t^2 + 10t + 9 per level, the same factor for the
-    consecutive gaps, and strict increase/positivity/non-triviality of every
-    xi(n, t) in the range."""
-    ratio_ok = gap_ok = shape_ok = True
-    for t in range(t_max + 1):
-        factor = 2 * t * t + 10 * t + 9
-        rows = [xi_eval(n, t) for n in range(n_max + 2)]
-        for n in range(1, n_max + 1):
-            cur, nxt = rows[n], rows[n + 1]
-            ratio_ok &= all(b > factor * a for a, b in zip(cur, nxt))
-            gap_ok &= all(
-                (nxt[i + 1] - nxt[i]) > factor * (cur[i + 1] - cur[i])
-                for i in range(3)
-            )
-        for n in range(n_max + 1):
-            row = rows[n]
-            shape_ok &= row[0] > 0 and all(row[i] < row[i + 1] for i in range(3))
-            shape_ok &= n == 0 or trivial_parameter(row) is None
-    return RelationReport([
-        ("level-to-level ratio bound", ratio_ok),
-        ("consecutive-gap growth bound", gap_ok),
-        ("values strictly increasing, positive, non-trivial", shape_ok),
-    ])
-
-
 # -- bundled quartic and rational families -------------------------------------
 
 
@@ -283,7 +225,7 @@ def _family_table() -> dict:
                 block = blocks[line[1:-1]] = {}
                 continue
             key, _, body = line.partition(":")
-            block[key.strip()] = parse_upoly(body).int_coeffs()
+            block[key.strip()] = parse_coeffs(body)
     table = {}
     for name, block in blocks.items():
         polys = [block[key] for key in ("n1", "n2", "n3", "n4", "den")]
@@ -578,25 +520,30 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
     return sorted(roots)
 
 
-@lru_cache(maxsize=None)
-def _xi1_floor(n: int) -> int:
-    """xi1(n, 0), once positive coefficients prove xi1(n, .) increasing on
-    t >= 0 for bisection in _invert_xi (they hold at every level met)."""
-    coeffs = xi_poly(n)[0].coeffs
-    if any(c <= 0 for c in coeffs):
-        raise ArithmeticError(f"xi1({n}) has a non-positive coefficient")
-    return coeffs[0].numerator
+# xi1(0, 0) and xi1(1, 0): the first two level floors of _invert_xi
+_XI1_FLOORS = (1, 6)
 
 
 def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
     """Solve xi(n, t) = pt for n >= 1, t >= 0 by monotone bisection on the
-    first component (all coefficients positive, so it increases in t; level
-    floors xi1(n, 0) increase in n, bounding the n loop)."""
+    first component a_n(t) = xi1(n, t), level by level while the floor
+    a_n(0) is at most pt[0].
+
+    Bisection and the floors rest on one induction.  For t >= 0,
+    f = 2t^2 + 10t + 10 >= 10 and f' = 4t + 10 >= 0.  From a_0 = t + 1 and
+    a_1 = 2t^3 + 12t^2 + 19t + 6, a_1 >= a_0 > 0 and a'_1 >= a'_0 = 1 > 0
+    (verify.verify_families checks this base case), and
+    a_{n+1} = f a_n - a_{n-1} then gives a_{n+1} >= 10 a_n - a_{n-1}
+    >= 9 a_n > 0 (as a_{n-1} <= a_n), and a'_{n+1} = f' a_n + f a'_n
+    - a'_{n-1} gives a'_{n+1} >= 9 a'_n > 0 alike, for every n >= 1.  So
+    each a_n increases on t >= 0, and the floors a_n(0) increase in n: once
+    one exceeds pt[0], no level left can hit.  At t = 0, f = 10, so the
+    floors are the integers a_{n+1}(0) = 10 a_n(0) - a_{n-1}(0): 1, 6, 59,
+    584, 5781, ..."""
     s1 = pt[0]
     n = 1
-    while True:
-        if _xi1_floor(n) > s1:
-            return None
+    below, floor = _XI1_FLOORS
+    while floor <= s1:
         lo, hi = 0, 1
         while xi_eval(n, hi)[0] < s1:
             lo, hi = hi, hi * 2
@@ -609,6 +556,8 @@ def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
         if xi_eval(n, lo) == pt:
             return Classification("xi", n=n, t=lo)
         n += 1
+        below, floor = floor, 10 * floor - below
+    return None
 
 
 # Descent prime: a one-word modulus keeps the modular certificate cheap, and
@@ -1031,76 +980,3 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
     if cls.kind == "lift":
         return cls.witness is not None and _tower_replays(to_vector(pt), cls)
     return cls.kind == "sporadic"
-
-
-# -- aggregate verification ----------------------------------------------------
-
-
-def verify_families() -> RelationReport:
-    """Symbolic self-checks of everything this module loads or derives."""
-    table = _family_table()
-
-    def bundled(name: str) -> bool:
-        return vector_on_surface(tuple(map(UPoly, table[name])))
-
-    entries = []
-    n_hi = 6
-    entries.append((
-        "xi rows satisfy both defining equations symbolically",
-        all(vector_on_surface((*xi_poly(n), 1)) for n in range(n_hi + 1)),
-    ))
-    entries.append((
-        "xi degrees are 2n+1",
-        all(
-            all(p.degree == 2 * n + 1 for p in xi_poly(n))
-            for n in range(n_hi + 1)
-        ),
-    ))
-    entries.append((
-        "closed form matches the recurrence",
-        all(xi_closed_form(n) == xi_poly(n) for n in range(n_hi + 1)),
-    ))
-    entries.append((
-        "end-reflection symmetry of xi",
-        all(symmetry_check(n) for n in range(n_hi + 1)),
-    ))
-    ok = True
-    for n in range(11):
-        try:
-            negative_t_forms(n)
-        except ArithmeticError:
-            ok = False
-    entries.append(("negative arguments give the four trivial towers", ok))
-    entries.append(("growth inequalities", growth_check(10, 10).ok))
-    entries.append(("quartic family satisfies both equations", bundled("quartic")))
-    _, nums = p_family()
-    even_den, even_nums = p_family("quartic-even")
-    odd_den, odd_nums = p_family("quartic-odd")
-    two_t = UPoly((0, 2))
-    four_t1 = UPoly((1, 4))
-    entries.append((
-        "even/odd integral forms are the quartic at 2t and 4t+1",
-        even_den == 1
-        and odd_den == 1
-        and all(n(two_t) == 4 * e for n, e in zip(nums, even_nums))
-        and all(n(four_t1) == 4 * o for n, o in zip(nums, odd_nums)),
-    ))
-    entries.append(("thirds family satisfies both equations", bundled("thirds")))
-    _, tnums = thirds_family()
-    entries.append((
-        "thirds family numerators never 0 mod 3 together",
-        all(
-            any(n(t) % 3 for n in tnums)
-            for t in range(3)
-        ),
-    ))
-    entries.append((
-        "all fifteen rational families satisfy both equations",
-        all(bundled(str(i)) for i in range(1, 16)),
-    ))
-    ok = True
-    for t in range(-8, 9):
-        integral = all(v.denominator == 1 for v in p_value(t))
-        ok &= integral == (t % 4 != 3)
-    entries.append(("quartic family integral exactly off t = 3 mod 4", ok))
-    return RelationReport(entries)

@@ -19,8 +19,8 @@ the kernel on it, and apply_phi, apply_zeta and apply_zeta_inv convert to
 and from Fractions around it.  Polynomial and rational-function coordinates
 are cleared of their common denominator and go through the same kernel.
 
-verify_group_relations() re-proves every claimed relation between these maps,
-the phi relations as exact normal-form-zero checks in the quotient ring.
+verify.verify_group_relations() re-proves every claimed relation between
+these maps.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ __all__ = [
     "pell_point",
     "normalize_point",
     "as_int_point",
-    "RelationReport",
-    "verify_group_relations",
 ]
 
 Point = Tuple
@@ -174,10 +172,14 @@ def from_vector(v: Tuple[int, ...]) -> Point:
 # -- the rational involution --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PhiMap:
-    p: Tuple[MPoly4, MPoly4, MPoly4, MPoly4]
-    q: MPoly4
+    """The involution's numerators p = (p1, ..., p4) and denominator q."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: Tuple[MPoly4, MPoly4, MPoly4, MPoly4], q: MPoly4):
+        self.p = p
+        self.q = q
 
 
 @lru_cache(maxsize=1)
@@ -410,168 +412,3 @@ def as_int_point(pt: Point):
         else:
             return None
     return tuple(out)
-
-
-# -- relation verification ----------------------------------------------------
-
-
-@dataclass
-class RelationReport:
-    entries: list[tuple[str, bool]]
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok in self.entries)
-
-    def failures(self) -> list[str]:
-        return [name for name, ok in self.entries if not ok]
-
-    def __str__(self):
-        width = max(len(name) for name, _ in self.entries)
-        return "\n".join(
-            f"{name:<{width}}  {'pass' if ok else 'FAIL'}"
-            for name, ok in self.entries
-        )
-
-
-def _phi_self_composition_holds(pm: PhiMap) -> bool:
-    """phi(phi(x)) = x as an identity in the quotient ring.
-
-    With y = phi(x), the i-th coordinate of phi(y) is N_i / (q * D) where
-    N_i = q^4 * p_i(y) and D = (p2 - p3)^2 (p1 - 2 p2 + p3); the claim
-    reduces to N_i = x_i * q * D modulo the surface relations.  Total degree
-    of every p_i is at most 4, which the homogenization below relies on.
-    """
-    p, q = pm.p, pm.q
-    assert all(pi.total_degree() <= 4 for pi in p)
-
-    qpow = {0: MPoly4.const(1)}
-
-    def q_power(k: int) -> MPoly4:
-        got = qpow.get(k)
-        if got is None:
-            got = qpow[k] = (q_power(k - 1) * q).normal_form()
-        return got
-
-    prods = {(0, 0, 0, 0): MPoly4.const(1)}
-
-    def prod(key) -> MPoly4:
-        got = prods.get(key)
-        if got is None:
-            j = next(i for i, e in enumerate(key) if e)
-            prev = list(key)
-            prev[j] -= 1
-            got = prods[key] = (prod(tuple(prev)) * p[j]).normal_form()
-        return got
-
-    den = ((p[1] - p[2]) ** 2 * (p[0] - 2 * p[1] + p[2])).normal_form()
-    for i in range(4):
-        num = MPoly4()
-        for key, coeff in p[i].terms.items():
-            piece = (prod(key) * q_power(4 - sum(key))).normal_form()
-            num = num + coeff * piece
-        target = (MPoly4.coordinate(i + 1) * q * den).normal_form()
-        if not (num.normal_form() - target).is_zero():
-            return False
-    return True
-
-
-def verify_group_relations() -> RelationReport:
-    pm = phi_map()
-    p, q = pm.p, pm.q
-    a, b, c, d = (MPoly4.coordinate(i) for i in (1, 2, 3, 4))
-    entries: list[tuple[str, bool]] = []
-
-    entries.append((
-        "sign flips commute pairwise",
-        all(
-            MU[i].compose(MU[j]) == MU[j].compose(MU[i])
-            for i in range(4)
-            for j in range(4)
-        ),
-    ))
-    sigma = {0: 3, 1: 2, 2: 1, 3: 0}
-    entries.append((
-        "reversal conjugates flips by the end-swapping permutation",
-        all(
-            TAU.compose(MU[i]).compose(TAU) == MU[sigma[i]]
-            for i in range(4)
-        ),
-    ))
-    entries.append((
-        "reversal-flip composites have order exactly 4",
-        all(
-            (lambda g: g.compose(g).compose(g).compose(g).is_identity()
-             and not g.compose(g).is_identity())(TAU.compose(MU[i]))
-            for i in range(4)
-        ),
-    ))
-    entries.append((
-        "end-pair and middle-pair flips commute with reversal",
-        TAU.compose(mu(1, 4)) == mu(1, 4).compose(TAU)
-        and TAU.compose(mu(2, 3)) == mu(2, 3).compose(TAU),
-    ))
-    entries.append((
-        "denominator factors as stated",
-        q == (b - c) ** 2 * (a - 2 * b + c),
-    ))
-    entries.append((
-        "numerators even, denominator odd",
-        all(pi.flip_signs((-1, -1, -1, -1)) == pi for pi in p)
-        and q.flip_signs((-1, -1, -1, -1)) == -q,
-    ))
-    entries.append((
-        "involution preserves the first surface equation",
-        (p[0] ** 2 - 2 * p[1] ** 2 + p[2] ** 2 - 2 * q * q).vanishes_on_surface(),
-    ))
-    entries.append((
-        "involution preserves the second surface equation",
-        (p[1] ** 2 - 2 * p[2] ** 2 + p[3] ** 2 - 2 * q * q).vanishes_on_surface(),
-    ))
-    entries.append((
-        "first alternating-sum identity",
-        (p[0] - 2 * p[1] + p[2] - (a - 2 * b + c) * q).vanishes_on_surface(),
-    ))
-    entries.append((
-        "second alternating-sum identity",
-        (p[1] - 2 * p[2] + p[3] - (b - 2 * c + d) * q).vanishes_on_surface(),
-    ))
-    entries.append((
-        "involution composed with itself is the identity",
-        _phi_self_composition_holds(pm),
-    ))
-    q_rev = q.swap_ends()
-    entries.append((
-        "reversal commutes with the involution",
-        all(
-            (p[i].swap_ends() * q - p[3 - i] * q_rev).vanishes_on_surface()
-            for i in range(4)
-        ),
-    ))
-    # With reversal commuting past phi, conjugating the composite map by the
-    # reversal only touches its trivial part; that part is reversal-invariant.
-    entries.append((
-        "reversal commutes with the degree-growing composite",
-        TAU.compose(ZETA_TWIST).compose(TAU) == ZETA_TWIST,
-    ))
-    # so zeta^-1 = Z zeta Z, and classify() descends in one direction only
-    z = ZETA_TWIST
-    entries.append((
-        "the twist is an involution commuting with -1 and reversal",
-        z.compose(z).is_identity()
-        and all(z.compose(g) == g.compose(z) for g in (mu(1, 2, 3, 4), TAU)),
-    ))
-    sample = [(1, 2, 3, 4), (6, 23, 32, 39), (59, 630, 889, 1088)]
-    entries.append((
-        "composite map conjugation checked on sample points",
-        all(
-            TAU(apply_zeta(TAU(x))) == apply_zeta(x)
-            for x in sample
-        ),
-    ))
-    entries.append((
-        "orbit of (1,2,3,4) follows the Pell-driven closed form",
-        zeta_orbit((1, 2, 3, 4), 6)
-        == [pell_point(n) for n in range(7)],
-    ))
-    return RelationReport(entries)

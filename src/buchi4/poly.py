@@ -406,6 +406,8 @@ class RatFunc(RingElement):
     def __init__(self, num, den=None):
         num = _coerce(num)
         den = UPoly((1,)) if den is None else _coerce(den)
+        if num is NotImplemented or den is NotImplemented:
+            raise TypeError("a rational function takes rationals and polynomials")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
         if num.is_zero():
@@ -456,6 +458,8 @@ class RatFunc(RingElement):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction, UPoly, RatFunc)):
+            return NotImplemented
         other = RatFunc.of(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
@@ -536,7 +540,16 @@ class QuadExt(RingElement):
         return QuadExt(self.u / n, -self.v / n)
 
     def __truediv__(self, other):
-        return self * _quad(other).inverse()
+        other = _quad(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _quad(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Tuple
 
-__all__ = ["parse_terms", "parse_upoly", "format_upoly", "format_terms"]
+__all__ = ["parse_terms", "parse_coeffs", "parse_upoly", "format_upoly", "format_terms"]
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|(\^)|([+-]))")
 
@@ -92,17 +92,20 @@ def _flush(terms, sign, coeff, exps, nvars, bail):
         del terms[key]
 
 
+def parse_coeffs(text: str, variable: str = "t") -> list[int]:
+    """Parse a univariate polynomial into its integer coefficients, constant
+    first, up to the degree ([] for zero)."""
+    terms = parse_terms(text, variable)
+    coeffs = [0] * (max(k[0] for k in terms) + 1 if terms else 0)
+    for (e,), c in terms.items():
+        coeffs[e] = c
+    return coeffs
+
+
 def parse_upoly(text: str, variable: str = "t"):
     from .poly import UPoly
 
-    terms = parse_terms(text, variable)
-    if not terms:
-        return UPoly()
-    deg = max(k[0] for k in terms)
-    coeffs = [0] * (deg + 1)
-    for (e,), c in terms.items():
-        coeffs[e] = c
-    return UPoly(coeffs)
+    return UPoly(parse_coeffs(text, variable))
 
 
 def _coeff_str(c) -> str:

@@ -21,7 +21,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import assets
 from .arith import as_perfect_square
-from .factorint import gaussian_factorizations, gaussian_products
 from .families import Classification, classify, extends_left, extends_right
 from .maps import on_surface
 
@@ -54,6 +53,10 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
         raise ValueError("bound must be at least 2")
     if engine != "two-squares":
         raise ValueError(f"unknown engine {engine!r}")
+    # imported here, so that loading the table and the records does not
+    # compile the factorization code
+    from .factorint import gaussian_factorizations, gaussian_products
+
     out = []
     for x2, primes in gaussian_factorizations(x2_max):
         # 2 (x2^2 + 1) = |(1 + i)(x2 + i)|^2, with one more 2 when x2 is odd;

@@ -21,15 +21,12 @@ from buchi4.families import (
     classify,
     extends_left,
     extends_right,
-    growth_check,
     p_eval,
     p_family,
     prop33_solve,
     r_family,
-    symmetry_check,
     thirds_family,
     verify_classification,
-    verify_families,
     xi_closed_form,
     xi_eval,
     xi_poly,
@@ -38,7 +35,6 @@ from buchi4.maps import (
     apply_zeta,
     as_int_point,
     pell_point,
-    verify_group_relations,
     zeta_orbit,
 )
 from buchi4.poly import UPoly
@@ -48,6 +44,12 @@ from buchi4.search import (
     enumerate_sequences,
     records_csv,
     run_pipeline,
+)
+from buchi4.verify import (
+    growth_check,
+    symmetry_check,
+    verify_families,
+    verify_group_relations,
 )
 
 from test_families import XI1, XI2, XI3

@@ -7,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from buchi4.arith import (
+    _MASK64,
+    _MOD,
+    _TABLE,
     as_perfect_square,
     format_rational,
     is_perfect_square,
@@ -79,3 +82,12 @@ def test_rational_round_trip(x):
 def test_bad_parse_raises():
     with pytest.raises(ValueError):
         parse_rational("not a number")
+
+
+def test_residue_tables_are_the_squares():
+    # the table is built per prime power and joined by CRT; it must equal
+    # the squares mod 45045 taken directly
+    squares = {r * r % _MOD for r in range(_MOD)}
+    assert _MOD == 45045
+    assert _TABLE == bytes(int(n in squares) for n in range(_MOD))
+    assert _MASK64 == sum(1 << n for n in {r * r % 64 for r in range(64)})

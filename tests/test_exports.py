@@ -1,9 +1,29 @@
-"""Every name a buchi4 module exports resolves."""
+"""Every name a buchi4 module exports resolves, and importing the package
+loads only what its eager names need."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import buchi4
+
+
+def run_fresh(code: str) -> str:
+    """stdout of code run in a new interpreter that imports this buchi4."""
+    src = str(Path(buchi4.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout
 
 
 def test_every_name_in_all_resolves():
@@ -17,3 +37,37 @@ def test_every_name_in_all_resolves():
         missing = [n for n in exported if not hasattr(module, n)]
         assert not missing, (name, missing)
         assert len(set(exported)) == len(exported), name
+
+
+def test_import_leaves_unused_modules_unloaded():
+    out = run_fresh(
+        "import sys, buchi4\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('buchi4.')))"
+    )
+    loaded = set(out.split())
+    assert "buchi4.families" in loaded
+    unused = {"curves", "search", "verify", "factorint", "cli"}
+    assert not loaded & {f"buchi4.{name}" for name in unused}
+
+
+def test_lazy_names_resolve_on_access_star_import_and_dir():
+    out = run_fresh(
+        "import buchi4\n"
+        "from buchi4 import curves\n"
+        "assert buchi4.curve_rhs is curves.curve_rhs\n"
+        "names = {}\n"
+        "exec('from buchi4 import *', names)\n"
+        "print(all(n in names for n in buchi4.__all__),"
+        " set(buchi4.__all__) <= set(dir(buchi4)))"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_cli_classify_loads_neither_search_nor_curves():
+    out = run_fresh(
+        "import sys\n"
+        "from buchi4.cli import main\n"
+        "code = main(['classify', '59', '630', '889', '1088'])\n"
+        "print(code, 'buchi4.search' in sys.modules, 'buchi4.curves' in sys.modules)"
+    )
+    assert out.splitlines() == ["Sporadic", "0 False False"]

@@ -35,10 +35,8 @@ from buchi4.families import (
     extends,
     extends_left,
     extends_right,
-    growth_check,
     is_increasing_positive,
     is_trivial,
-    negative_t_forms,
     p_eval,
     p_family,
     p_value,
@@ -46,11 +44,9 @@ from buchi4.families import (
     r_eval,
     r_family,
     r_value,
-    symmetry_check,
     thirds_family,
     trivial_parameter,
     verify_classification,
-    verify_families,
     xi_closed_form,
     xi_eval,
     xi_poly,
@@ -70,6 +66,12 @@ from buchi4.maps import (
 from buchi4.poly import UPoly, gcd_mod, horner, upoly_gcd
 from buchi4.polytext import format_upoly
 from buchi4.search import bundled_table
+from buchi4.verify import (
+    growth_check,
+    negative_t_forms,
+    symmetry_check,
+    verify_families,
+)
 
 # the three low rows, coefficients constant-first
 XI1 = (
@@ -109,6 +111,20 @@ def test_xi_degrees_and_positivity():
         for p in xi_poly(n):
             assert p.degree == 2 * n + 1
             assert p.lc() > 0
+
+
+def test_xi1_is_positive_and_its_floors_follow_the_integer_recurrence():
+    # _invert_xi reads its level floors off a_{n+1} = 10 a_n - a_{n-1}, on
+    # the induction its docstring proves; here the polynomials themselves
+    # show, level by level, positive coefficients and the same floors
+    floors = list(families._XI1_FLOORS)
+    while len(floors) < 13:
+        floors.append(10 * floors[-1] - floors[-2])
+    assert floors[:5] == [1, 6, 59, 584, 5781]
+    for n in range(13):
+        coeffs = xi_poly(n)[0].coeffs
+        assert all(c > 0 for c in coeffs), n
+        assert coeffs[0] == floors[n]
 
 
 def test_xi_rows_satisfy_both_equations_symbolically():

@@ -28,10 +28,10 @@ from buchi4.maps import (
     phi_map,
     phi_vector,
     pell_point,
-    verify_group_relations,
     zeta_orbit,
 )
 from buchi4.poly import RatFunc
+from buchi4.verify import verify_group_relations
 
 ORBIT = [
     (1, 2, 3, 4),

@@ -270,3 +270,16 @@ def test_quadext_arithmetic():
     assert x + x.conj() == QuadExt(2 * T)
     assert (x - x.conj()).u == RatFunc.of(0)
     assert x * x.inverse() == QuadExt(1)
+
+
+def test_foreign_operands_raise_type_error():
+    with pytest.raises(TypeError):
+        RatFunc("t")
+    with pytest.raises(TypeError):
+        QuadExt(T) / "x"
+
+
+def test_ratfunc_over_quadext_is_a_quadext_quotient():
+    got = RatFunc(1, T) / QuadExt(T)
+    assert isinstance(got, QuadExt)
+    assert got == QuadExt(RatFunc(1, T * T))
