@@ -2,9 +2,11 @@
 
 Appending x5 to xi(n, t) needs y^2 = 2 xi4^2 - xi3^2 + 2 (and symmetrically
 y^2 = 2 xi1^2 - xi2^2 + 2 for prepending), so each side and level gives a
-hyperelliptic-shaped curve y^2 = rhs(t) of degree 4n+2.  This module builds
-those right-hand sides exactly, certifies squarefreeness, and scans integer
-arguments for square values.
+hyperelliptic-shaped curve y^2 = rhs(t) of degree 4n+2.  The right-hand side
+is the radicand of the extension tests in families, taken at the symbolic
+row xi(n, t), so a curve and the test it scans for cannot drift apart.  This
+module builds those right-hand sides exactly, certifies squarefreeness, and
+scans integer arguments for square values.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .arith import as_perfect_square
-from .families import xi_poly
+from .families import _radicand, xi_poly
 from .poly import UPoly, gcd_mod, upoly_gcd
 from .polytext import format_upoly
 
@@ -59,17 +61,11 @@ class CurveSpec:
 
 
 def curve_rhs(n: int, side: str) -> CurveSpec:
-    """The level-n extension curve for one side, built from xi(n, t)."""
+    """The level-n extension curve for one side: the extension radicand of
+    families at xi(n, t)."""
     if n < 1:
         raise ValueError("level must be at least 1")
-    x1, x2, x3, x4 = xi_poly(n)
-    if side == "right":
-        rhs = 2 * x4 * x4 - x3 * x3 + 2
-    elif side == "left":
-        rhs = 2 * x1 * x1 - x2 * x2 + 2
-    else:
-        raise ValueError("side must be 'right' or 'left'")
-    return CurveSpec(side=side, n=n, rhs=rhs)
+    return CurveSpec(side=side, n=n, rhs=_radicand(xi_poly(n), side))
 
 
 # -- squarefreeness -------------------------------------------------------

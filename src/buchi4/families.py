@@ -2,9 +2,12 @@
 
 Families:
 
-  * xi(n, t): the degree 2n+1 tuples generated from (t+1, ..., t+4) by the
-    degree-growing map, satisfying xi(n+2) = f * xi(n+1) - xi(n) with
-    f = 2t^2 + 10t + 10, with a closed form in the quadratic extension ring;
+  * xi(n, t): the degree 2n+1 rows of the recurrence
+    xi(n+1) = f * xi(n) - xi(n-1), f = 2t^2 + 10t + 10, from
+    xi(0, t) = (t+1, ..., t+4) and xi(-1, t) = (t+4, -t-3, -t-2, t+1), run
+    by xi_eval on numbers and on the polynomial T alike, with a closed form
+    in the quadratic extension ring; the degree-growing map carries each
+    row to the next, which verify.verify_families checks;
   * a quartic family over Q with denominator 4, integral away from t = 3
     mod 4, plus its two integral restrictions (even arguments, arguments
     1 mod 4) and a never-integral variant with denominator 3;
@@ -21,6 +24,9 @@ before it is returned.  Descent runs on integers: each chain node is the
 primitive vector (A, B, C, D, L) of maps.to_vector, and Fractions appear only
 at the boundary: the input, the points descent_chain returns, a witness's
 base value and a family parameter.
+
+The extension tests and the extension curves of curves.py share one
+radicand: 2 s4^2 - s3^2 + 2 on the right, 2 s1^2 - s2^2 + 2 on the left.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .maps import (
     TAU,
     DenominatorVanishes,
     TrivialInvolution,
-    apply_zeta,
     from_vector,
     group_elements,
     normalize_point,
@@ -93,44 +98,14 @@ class NonIntegral(ValueError):
 # f drives the second-order recurrence shared by every xi component.
 F_POLY = parse_upoly("2t^2 + 10t + 10")
 
-_XI0 = (T + 1, T + 2, T + 3, T + 4)
-
 
 # -- xi by recurrence ---------------------------------------------------------
 
-_xi_rows: list[Tuple[UPoly, UPoly, UPoly, UPoly]] = []
-
-
-def _xi_seed() -> Tuple[UPoly, UPoly, UPoly, UPoly]:
-    """xi(1, t), derived by one symbolic application of the degree-growing
-    map rather than transcribed, so the recurrence seeds and the map cannot
-    drift apart."""
-    image = apply_zeta(_XI0)
-    row = tuple(c.as_upoly() for c in image)
-    assert all(p.degree == 3 for p in row)
-    return row
-
-
-def xi_poly(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
-    """The four components of xi(n, t), memoized; degrees 2n+1."""
-    if n < 0:
-        raise ValueError("negative index")
-    if not _xi_rows:
-        _xi_rows.append(_XI0)
-        _xi_rows.append(_xi_seed())
-    while len(_xi_rows) <= n:
-        nxt = tuple(
-            F_POLY * b - a
-            for a, b in zip(_xi_rows[-2], _xi_rows[-1])
-        )
-        _xi_rows.append(nxt)
-    return _xi_rows[n]
-
-
 def xi_eval(n: int, t) -> Tuple:
-    """xi(n, t) at a number, by running the recurrence on values n steps
-    from xi(-1, t) = f xi(0, t) - xi(1, t) = (t+4, -t-3, -t-2, t+1) and
-    xi(0, t), so no polynomial is evaluated."""
+    """xi(n, t), by running the recurrence n steps from
+    xi(-1, t) = f xi(0, t) - xi(1, t) = (t+4, -t-3, -t-2, t+1) and
+    xi(0, t) = (t+1, ..., t+4), so no polynomial is evaluated.  t is a
+    number, or the polynomial T for the symbolic rows of xi_poly."""
     if n < 0:
         raise ValueError("negative index")
     if isinstance(t, Fraction) and t.denominator == 1:
@@ -140,6 +115,12 @@ def xi_eval(n: int, t) -> Tuple:
     for _ in range(n):
         prev, cur = cur, tuple(ft * b - a for a, b in zip(prev, cur))
     return cur
+
+
+@lru_cache(maxsize=None)
+def xi_poly(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
+    """The four components of xi(n, t), memoized; degrees 2n+1."""
+    return xi_eval(n, T)
 
 
 # -- xi in closed form --------------------------------------------------------
@@ -170,7 +151,7 @@ def xi_closed_form(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
     bn = beta**n
     out = []
     for i in range(4):
-        x = QuadExt(closed_a[i], _XI0[i]) * bn
+        x = QuadExt(closed_a[i], T + (i + 1)) * bn
         if not x.v.is_polynomial():
             raise ArithmeticError("closed form is not a polynomial")
         out.append(x.v.as_upoly())
@@ -333,23 +314,33 @@ def is_increasing_positive(seq: Sequence) -> bool:
     return seq[0] > 0 and all(seq[i] < seq[i + 1] for i in range(3))
 
 
+def _radicand(seq: Sequence, side: str):
+    """2*s4^2 - s3^2 + 2 for the right side, 2*s1^2 - s2^2 + 2 for the
+    left: the square of the fifth term that extends seq on that side.  The
+    terms may lie in any ring, so at xi(n, t) this is the right-hand side
+    of the level-n extension curve."""
+    if side == "right":
+        a, b = seq[3], seq[2]
+    elif side == "left":
+        a, b = seq[0], seq[1]
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return 2 * a * a - b * b + 2
+
+
 def extends_right(seq: Sequence) -> Optional[int]:
     """The nonnegative x5 with x5^2 = 2*s4^2 - s3^2 + 2, if the radicand is
     a perfect square; None otherwise."""
-    return as_perfect_square(2 * seq[3] * seq[3] - seq[2] * seq[2] + 2)
+    return as_perfect_square(_radicand(seq, "right"))
 
 
 def extends_left(seq: Sequence) -> Optional[int]:
     """The nonnegative x0 with x0^2 = 2*s1^2 - s2^2 + 2, if square."""
-    return as_perfect_square(2 * seq[0] * seq[0] - seq[1] * seq[1] + 2)
+    return as_perfect_square(_radicand(seq, "left"))
 
 
 def extends(seq: Sequence, side: str) -> Optional[int]:
-    if side == "right":
-        return extends_right(seq)
-    if side == "left":
-        return extends_left(seq)
-    raise ValueError("side must be 'left' or 'right'")
+    return as_perfect_square(_radicand(seq, side))
 
 
 # -- classification ------------------------------------------------------------

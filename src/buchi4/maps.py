@@ -17,10 +17,10 @@ product built once.  At rational points the maps run on integers: a point is
 carried as its primitive vector (A, B, C, D, L) (to_vector), phi_vector runs
 the kernel on it, and apply_phi, apply_zeta and apply_zeta_inv convert to
 and from Fractions around it.  Polynomial and rational-function coordinates
-are cleared of their common denominator and go through the same kernel.
-
-verify.verify_group_relations() re-proves every claimed relation between
-these maps.
+are cleared of their common denominator and go through the same kernel, and
+so do the self-checks: verify.verify_group_relations() reads phi off the
+kernel at the coordinates themselves, checks it against the asset, and
+re-proves every claimed relation between these maps from it.
 """
 
 from __future__ import annotations

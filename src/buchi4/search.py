@@ -209,12 +209,18 @@ def compare_with_table(
     misses and extras list the disagreements.  The bundled table holds a few
     rows that lie on parametrized families, so a miss is a disagreement to
     be explained (for example by an exact non-Sporadic verdict that
-    verify_classification replays), not necessarily a search failure."""
-    ours = {
-        rec.seq
-        for rec in records
-        if rec.classification.kind == "sporadic" and rec.seq[1] <= x2_bound
-    }
+    verify_classification replays), not necessarily a search failure.
+    Every record must be classified: ValueError names the first that is
+    not."""
+    ours = set()
+    for rec in records:
+        if rec.classification is None:
+            raise ValueError(
+                f"record {rec.seq} is unclassified; the comparison needs"
+                " classified records"
+            )
+        if rec.classification.kind == "sporadic" and rec.seq[1] <= x2_bound:
+            ours.add(rec.seq)
     reference = {row for _, row in bundled_table() if row[1] <= x2_bound}
     return TableComparison(
         x2_bound=x2_bound,

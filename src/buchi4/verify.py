@@ -2,10 +2,14 @@
 
 verify_group_relations() re-proves every claimed relation between the maps
 of maps.py, the phi relations as exact normal-form-zero checks in the
-quotient ring, and verify_families() checks everything families.py loads or
-derives: the xi rows, their closed form and symmetries, the base case of
-the level floors of the xi inversion, and every bundled family.  Each
-returns a RelationReport, one named pass or fail per check.
+quotient ring.  It reads phi off maps._phi_kernel, the compiled function
+that every descent step runs, and checks that function against the asset's
+polynomials, so the proofs hold of the code that runs and not only of the
+parsed asset.  verify_families() checks everything families.py loads or
+derives: the xi rows, their link to the degree-growing map, their closed
+form and symmetries, the base case of the level floors of the xi inversion,
+and every bundled family.  Each returns a RelationReport, one named pass or
+fail per check.
 
 The checks live apart from the maps and the families, so that importing
 those, as every classification does, does not compile them.
@@ -31,7 +35,7 @@ from .maps import (
     MU,
     TAU,
     ZETA_TWIST,
-    PhiMap,
+    _phi_kernel,
     apply_zeta,
     mu,
     pell_point,
@@ -76,52 +80,14 @@ class RelationReport:
 # -- the maps -----------------------------------------------------------------
 
 
-def _phi_self_composition_holds(pm: PhiMap) -> bool:
-    """phi(phi(x)) = x as an identity in the quotient ring.
-
-    With y = phi(x), the i-th coordinate of phi(y) is N_i / (q * D) where
-    N_i = q^4 * p_i(y) and D = (p2 - p3)^2 (p1 - 2 p2 + p3); the claim
-    reduces to N_i = x_i * q * D modulo the surface relations.  Total degree
-    of every p_i is at most 4, which the homogenization below relies on.
-    """
-    p, q = pm.p, pm.q
-    assert all(pi.total_degree() <= 4 for pi in p)
-
-    qpow = {0: MPoly4.const(1)}
-
-    def q_power(k: int) -> MPoly4:
-        got = qpow.get(k)
-        if got is None:
-            got = qpow[k] = (q_power(k - 1) * q).normal_form()
-        return got
-
-    prods = {(0, 0, 0, 0): MPoly4.const(1)}
-
-    def prod(key) -> MPoly4:
-        got = prods.get(key)
-        if got is None:
-            j = next(i for i, e in enumerate(key) if e)
-            prev = list(key)
-            prev[j] -= 1
-            got = prods[key] = (prod(tuple(prev)) * p[j]).normal_form()
-        return got
-
-    den = ((p[1] - p[2]) ** 2 * (p[0] - 2 * p[1] + p[2])).normal_form()
-    for i in range(4):
-        num = MPoly4()
-        for key, coeff in p[i].terms.items():
-            piece = (prod(key) * q_power(4 - sum(key))).normal_form()
-            num = num + coeff * piece
-        target = (MPoly4.coordinate(i + 1) * q * den).normal_form()
-        if not (num.normal_form() - target).is_zero():
-            return False
-    return True
-
-
 def verify_group_relations() -> RelationReport:
+    """The relations between the maps, with phi read off the compiled
+    kernel that every descent step runs: at (a, b, c, d, 1) its forms are
+    p1, ..., p4 and q themselves."""
     pm = phi_map()
-    p, q = pm.p, pm.q
+    kernel = _phi_kernel()
     a, b, c, d = (MPoly4.coordinate(i) for i in (1, 2, 3, 4))
+    *p, q = kernel(a, b, c, d, 1)
     entries: list[tuple[str, bool]] = []
 
     entries.append((
@@ -154,6 +120,10 @@ def verify_group_relations() -> RelationReport:
         and TAU.compose(mu(2, 3)) == mu(2, 3).compose(TAU),
     ))
     entries.append((
+        "compiled kernel is the asset's involution",
+        tuple(p) == pm.p and q == pm.q,
+    ))
+    entries.append((
         "denominator factors as stated",
         q == (b - c) ** 2 * (a - 2 * b + c),
     ))
@@ -178,9 +148,16 @@ def verify_group_relations() -> RelationReport:
         "second alternating-sum identity",
         (p[1] - 2 * p[2] + p[3] - (b - 2 * c + d) * q).vanishes_on_surface(),
     ))
+    # phi(phi(x)) = x: the kernel at (p1, ..., p4, q) gives the forms
+    # N_i = q^h p_i(p / q) and Q = q^h q(p / q), and N_i = x_i Q must hold
+    # modulo the surface relations
+    *nums, den = kernel(*p, q)
     entries.append((
         "involution composed with itself is the identity",
-        _phi_self_composition_holds(pm),
+        all(
+            (n - xi * den).vanishes_on_surface()
+            for n, xi in zip(nums, (a, b, c, d))
+        ),
     ))
     q_rev = q.swap_ends()
     entries.append((
@@ -302,6 +279,12 @@ def verify_families() -> RelationReport:
     entries.append((
         "closed form matches the recurrence",
         all(xi_closed_form(n) == xi_poly(n) for n in range(n_hi + 1)),
+    ))
+    # the link between the recurrence and the map; n <= 2 keeps it to a
+    # few tens of ms, and the acceptance tests take it to n = 4
+    entries.append((
+        "the degree-growing map carries each xi row to the next",
+        all(apply_zeta(xi_poly(n)) == xi_poly(n + 1) for n in range(3)),
     ))
     entries.append((
         "end-reflection symmetry of xi",

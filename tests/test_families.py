@@ -140,6 +140,14 @@ def test_xi_eval_matches_polynomials():
             assert xi_eval(n, t) == tuple(p(t) for p in xi_poly(n))
 
 
+def test_xi_rejects_a_negative_index():
+    # xi_poly is xi_eval at T, so both refuse n < 0 the same way
+    with pytest.raises(ValueError):
+        xi_poly(-1)
+    with pytest.raises(ValueError):
+        xi_eval(-1, 0)
+
+
 def test_xi_eval_anchors():
     assert xi_eval(1, 0) == (6, 23, 32, 39)
     assert xi_eval(2, 0) == (59, 228, 317, 386)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buchi4 import maps, verify
 from buchi4.families import r_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
     _phi_kernel,
@@ -92,6 +93,22 @@ def test_composition_is_application_order(g, h, pt):
 def test_relation_suite_passes():
     report = verify_group_relations()
     assert report.ok, report.failures()
+
+
+def test_relation_suite_proves_the_compiled_kernel(monkeypatch):
+    # a kernel whose first form gains B*C*L^2 is no longer an involution:
+    # the suite reads phi off the kernel, so its composition check fails too
+    kernel = _phi_kernel()
+
+    def bumped(A, B, C, D, L):
+        first, *rest = kernel(A, B, C, D, L)
+        return (first + B * C * L * L, *rest)
+
+    monkeypatch.setattr(maps, "_phi_kernel", lambda: bumped)
+    monkeypatch.setattr(verify, "_phi_kernel", lambda: bumped)
+    failures = verify_group_relations().failures()
+    assert "compiled kernel is the asset's involution" in failures
+    assert "involution composed with itself is the identity" in failures
 
 
 def test_phi_anchor():

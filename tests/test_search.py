@@ -18,6 +18,7 @@ from buchi4.search import (
     records_csv,
     records_json,
     run_pipeline,
+    search_records,
 )
 
 from window_scan import window_scan
@@ -140,6 +141,12 @@ def test_comparison_at_1000_adds_five_rows():
         (240, 839, 1162, 1413),
         (177, 878, 1229, 1500),
     }
+
+
+def test_comparison_names_the_first_unclassified_record():
+    records = search_records(700, False, False)
+    with pytest.raises(ValueError, match=r"\(6, 23, 32, 39\) is unclassified"):
+        compare_with_table(records, 700)
 
 
 def test_comparison_at_0_is_vacuous():
