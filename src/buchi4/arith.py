@@ -8,6 +8,7 @@ string round-trips used by the CLI and the asset files.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -69,8 +70,12 @@ def is_perfect_square(n: int) -> bool:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p", "-p" or "p/q" decimal strings into a reduced Fraction."""
-    return Fraction(s.strip())
+    """Parse "p", "-p" or "p/q" (q > 0) decimal strings into a reduced
+    Fraction.  Any other text ("1.5", "2e1", "+3", "1_000", "1/0",
+    surrounding spaces) raises ValueError."""
+    if not re.fullmatch(r"-?[0-9]+(?:/0*[1-9][0-9]*)?", s):
+        raise ValueError(f"not a rational p, -p or p/q: {s!r}")
+    return Fraction(s)
 
 
 def format_rational(x: Fraction | int) -> str:

@@ -408,39 +408,39 @@ class Classification:
     @classmethod
     def parse(cls, text: str) -> "Classification":
         """Inverse of serialize (witness data and the trivial x are not
-        part of the serialized form and come back empty).  Only what
-        classify can return parses: a lift has k >= 1 over a trivial, xi,
-        p or r base, xi has n >= 1 and an integer t >= 0, and r an index
-        in 1..15; anything else raises ValueError."""
-        text = text.strip()
-        if text == "trivial":
-            return cls("trivial")
-        if text == "sporadic":
-            return cls("sporadic")
-        if text.startswith("zeta^"):
-            head, _, rest = text.partition("(")
-            if not rest.endswith(")"):
-                raise ValueError(f"malformed lift serialization {text!r}")
-            lifts, base = int(head[5:]), cls.parse(rest[:-1])
+        part of the serialized form and come back empty).  Only canonical
+        text, which serialize gives back unchanged, and only what classify
+        can return parses: a lift has k >= 1 over a trivial, xi, p or r
+        base, xi has n >= 1 and an integer t >= 0, and r an index in
+        1..15; anything else raises ValueError."""
+        kind, _, rest = text.partition(":")
+        if text in ("trivial", "sporadic"):
+            got = cls(text)
+        elif text.startswith("zeta^"):
+            head, _, inner = text.partition("(")
+            lifts, base = int(head[5:]), cls.parse(inner[:-1])
             if lifts < 1 or base.kind in ("lift", "sporadic"):
                 raise ValueError(f"no lift serializes as {text!r}")
-            return cls("lift", base=base, lifts=lifts)
-        kind, _, rest = text.partition(":")
-        if kind == "xi":
+            got = cls("lift", base=base, lifts=lifts)
+        elif kind == "xi":
             n_s, _, t_s = rest.partition(":")
             n, t = int(n_s), parse_rational(t_s)
             if n < 1 or t.denominator != 1 or t < 0:
                 raise ValueError(f"xi needs n >= 1 and an integer t >= 0: {text!r}")
-            return cls("xi", n=n, t=t.numerator)
-        if kind == "p":
-            return cls("p", t=_as_int_if_whole(parse_rational(rest)))
-        if kind == "r":
+            got = cls("xi", n=n, t=t.numerator)
+        elif kind == "p":
+            got = cls("p", t=_as_int_if_whole(parse_rational(rest)))
+        elif kind == "r":
             i_s, _, t_s = rest.partition(":")
             index = int(i_s)
             if index not in range(1, 16):
                 raise ValueError(f"rational family index must be 1..15: {text!r}")
-            return cls("r", index=index, t=_as_int_if_whole(parse_rational(t_s)))
-        raise ValueError(f"unrecognized classification {text!r}")
+            got = cls("r", index=index, t=_as_int_if_whole(parse_rational(t_s)))
+        else:
+            raise ValueError(f"unrecognized classification {text!r}")
+        if got.serialize() != text:
+            raise ValueError(f"{text!r} is not canonical: serialize writes {got.serialize()!r}")
+        return got
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -170,6 +170,8 @@ class UPoly(RingElement):
 
     def __divmod__(self, other: "UPoly"):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -187,7 +189,7 @@ class UPoly(RingElement):
         return UPoly(quot), UPoly(rem)
 
     def exact_div(self, other: "UPoly") -> "UPoly":
-        q, r = divmod(self, _coerce(other))
+        q, r = divmod(self, other)
         if not r.is_zero():
             raise NonExactDivision(f"remainder of degree {r.degree} in exact division")
         return q

@@ -1,8 +1,14 @@
-"""Plain-text polynomial syntax shared by the bundled data files and the CLI.
+r"""Plain-text polynomial syntax shared by the bundled data files and the CLI.
 
-Grammar, deliberately small: a polynomial is a signed sum of terms, a term is
-an optional integer coefficient followed by variable factors `v` or `v^k`.
-Whitespace is free.  Examples:
+A polynomial is a sequence of terms, each matched by the pattern
+
+    ([+-][\s+-]*)?(?=[0-9A-Za-z])([0-9]*)\s*((?:[A-Za-z]\s*(?:\^\s*[0-9]+\s*)?)*)
+
+that is, a sign run (its parity is the sign), an integer coefficient and
+variable factors `v` or `v^k`, with at least a coefficient or a factor.
+Every term but the first starts with a sign; whitespace may sit between
+any two tokens.  Terms are matched in turn from the start of the text, and
+whatever is left over raises ValueError.  The empty text is zero.  Examples:
 
     t^4 + 17t^3 + 104t^2 + 262t + 204
     -2ab^3 + ab^2c + 4abc^2 - 5abcd + ab
@@ -18,78 +24,38 @@ from typing import Dict, Tuple
 
 __all__ = ["parse_terms", "parse_coeffs", "parse_upoly", "format_upoly", "format_terms"]
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z])|(\^)|([+-]))")
+# the module docstring quotes this pattern, and tests/test_poly.py checks it
+_TERM = re.compile(
+    r"([+-][\s+-]*)?(?=[0-9A-Za-z])([0-9]*)\s*"
+    r"((?:[A-Za-z]\s*(?:\^\s*[0-9]+\s*)?)*)"
+)
+_FACTOR = re.compile(r"([A-Za-z])\s*(?:\^\s*([0-9]+))?")
 
 
 def parse_terms(text: str, variables: str) -> Dict[Tuple[int, ...], int]:
     """Parse into {exponent vector: coefficient} over the given variables."""
     text = text.strip()
     order = {v: i for i, v in enumerate(variables)}
-    nvars = len(variables)
     terms: Dict[Tuple[int, ...], int] = {}
     pos = 0
-    n = len(text)
-
-    def bail(msg: str):
-        raise ValueError(f"{msg} at position {pos}: {text!r}")
-
-    sign = 1
-    coeff = None
-    exps = None
-    started = False
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            bail("unexpected character")
-        pos = m.end()
-        number, var, caret, op = m.groups()
-        if op is not None:
-            if not started:
-                # sign prefix before the first factor of a term
-                if op == "-":
-                    sign = -sign
-                continue
-            _flush(terms, sign, coeff, exps, nvars, bail)
-            sign, coeff, exps, started = (1 if op == "+" else -1), None, None, False
-        elif number is not None:
-            if started:
-                bail("misplaced number")
-            coeff = int(number)
-            started = True
-        elif var is not None:
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if m is None or (pos and m[1] is None):
+            raise ValueError(f"malformed polynomial at position {pos}: {text!r}")
+        signs, coeff, mono = m.groups()
+        exps = [0] * len(variables)
+        for var, k in _FACTOR.findall(mono):
             if var not in order:
-                bail(f"unknown variable {var!r}")
-            if exps is None:
-                exps = [0] * nvars
-            k = 1
-            m2 = _TOKEN.match(text, pos)
-            if m2 and m2.group(3) == "^":
-                pos = m2.end()
-                m3 = _TOKEN.match(text, pos)
-                if not m3 or m3.group(1) is None:
-                    bail("exponent expected after '^'")
-                k = int(m3.group(1))
-                pos = m3.end()
-            exps[order[var]] += k
-            started = True
-        elif caret is not None:
-            bail("misplaced '^'")
-    if not started:
-        if terms or sign != 1:
-            bail("dangling sign")
-        return terms
-    _flush(terms, sign, coeff, exps, nvars, bail)
+                raise ValueError(f"unknown variable {var!r}: {text!r}")
+            exps[order[var]] += int(k or 1)
+        key = tuple(exps)
+        c = terms.get(key, 0) + (-1) ** (signs or "").count("-") * int(coeff or 1)
+        if c:
+            terms[key] = c
+        else:
+            terms.pop(key, None)
+        pos = m.end()
     return terms
-
-
-def _flush(terms, sign, coeff, exps, nvars, bail):
-    if coeff is None and exps is None:
-        bail("empty term")
-    c = sign * (1 if coeff is None else coeff)
-    key = tuple(exps) if exps is not None else (0,) * nvars
-    terms[key] = terms.get(key, 0) + c
-    if terms[key] == 0:
-        del terms[key]
 
 
 def parse_coeffs(text: str, variable: str = "t") -> list[int]:

@@ -80,8 +80,11 @@ def test_rational_round_trip(x):
 
 
 def test_bad_parse_raises():
-    with pytest.raises(ValueError):
-        parse_rational("not a number")
+    # Fraction reads "1.5" through " 3" and raises ZeroDivisionError on
+    # "1/0"; format_rational writes none of them
+    for text in ["not a number", "1.5", "2e1", "+3", "1_000", " 3", "3/-4", "1/0"]:
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_residue_tables_are_the_squares():

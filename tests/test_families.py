@@ -472,6 +472,15 @@ def test_parse_rejects_what_classify_never_returns():
         "xi:1:-1",
         "r:99:1",
         "r:0:1",
+        # not canonical: serialize never writes these
+        "p:1.5",
+        "r:3:2e1",
+        "xi:2:1e1",
+        "p:-3/6",
+        "zeta^+1(xi:1:0)",
+        "zeta^01(xi:1:0)",
+        "zeta^1(xi:1:0",
+        " trivial",
     ]:
         with pytest.raises(ValueError):
             Classification.parse(text)

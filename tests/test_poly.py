@@ -18,7 +18,8 @@ from buchi4.poly import (
     upoly_gcd,
 )
 from buchi4.mpoly import MPoly4
-from buchi4.polytext import format_upoly, parse_upoly
+from buchi4 import polytext
+from buchi4.polytext import format_upoly, parse_terms, parse_upoly
 
 small_polys = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=0, max_size=6
@@ -220,6 +221,23 @@ def test_text_round_trip():
     assert format_upoly(UPoly(())) == "0"
 
 
+def test_malformed_polynomial_text_raises():
+    # a sign with no term after it, a number after a factor, a bare '^',
+    # two numbers in a row, other syntaxes and unknown variables
+    for text in ["+", "+ +", "-", "t +", "0 +", "--", "t2", "t^", "^2", "2 3",
+                 "t**2", "(t)", "t + x"]:
+        with pytest.raises(ValueError):
+            parse_terms(text, "t")
+    assert parse_terms("- t + 1", "t") == {(1,): -1, (0,): 1}
+    assert parse_terms("t + - 1", "t") == {(1,): 1, (0,): -1}
+    assert parse_terms("t ^ 2", "t") == {(2,): 1}
+    assert parse_terms("3 t", "t") == {(1,): 3}
+    assert parse_terms("0", "t") == {}
+    assert parse_terms("", "t") == {}
+    assert parse_terms("- -2a b^2 + b a^0 - 2ab^2", "abcd") == {(0, 1, 0, 0): 1}
+    assert polytext._TERM.pattern in polytext.__doc__
+
+
 @given(small_polys)
 def test_format_parse_round_trip(p):
     assert parse_upoly(format_upoly(p)) == p
@@ -277,6 +295,10 @@ def test_foreign_operands_raise_type_error():
         RatFunc("t")
     with pytest.raises(TypeError):
         QuadExt(T) / "x"
+    with pytest.raises(TypeError):
+        divmod(T, "x")
+    with pytest.raises(TypeError):
+        T.exact_div("x")
 
 
 def test_ratfunc_over_quadext_is_a_quadext_quotient():
