@@ -11,13 +11,13 @@ scans integer arguments for square values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from .arith import as_perfect_square
 from .families import _radicand, xi_poly
 from .poly import UPoly, gcd_mod, upoly_gcd
 from .polytext import format_upoly
+from .record import Record, slot_setters
 
 __all__ = [
     "CurveSpec",
@@ -33,24 +33,26 @@ __all__ = [
 TRIVIAL_PARAMETERS = (-4, -3, -2, -1)
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """One extension curve y^2 = rhs(t): the side it extends, the level n
     of the underlying family, and the exact right-hand side."""
 
-    side: str
-    n: int
-    rhs: UPoly
+    __slots__ = ("side", "n", "rhs")
 
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
+    def __init__(self, side: str, n: int, rhs: UPoly):
+        if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        if self.rhs.degree != 4 * self.n + 2:
-            raise ValueError(
-                f"degree {self.rhs.degree}, expected {4 * self.n + 2}"
-            )
-        if self.rhs.lc() <= 0:
+        if rhs.degree != 4 * n + 2:
+            raise ValueError(f"degree {rhs.degree}, expected {4 * n + 2}")
+        if rhs.lc() <= 0:
             raise ValueError("leading coefficient must be positive")
+        _set_side(self, side)
+        _set_n(self, n)
+        _set_rhs(self, rhs)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.side, self.n, self.rhs)
 
     def coefficients(self) -> List[int]:
         """Integer coefficients, constant term first."""
@@ -58,6 +60,9 @@ class CurveSpec:
 
     def display(self) -> str:
         return format_upoly(self.rhs)
+
+
+_set_side, _set_n, _set_rhs = slot_setters(CurveSpec)
 
 
 def curve_rhs(n: int, side: str) -> CurveSpec:

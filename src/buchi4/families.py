@@ -31,7 +31,6 @@ radicand: 2 s4^2 - s3^2 + 2 on the right, 2 s1^2 - s2^2 + 2 on the left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -63,6 +62,7 @@ from .poly import (
     upoly_gcd,
 )
 from .polytext import parse_coeffs, parse_upoly
+from .record import Record, slot_setters
 
 __all__ = [
     "NonIntegral",
@@ -357,27 +357,47 @@ def _as_int_if_whole(v):
     return v.numerator if v.denominator == 1 else v
 
 
-@dataclass(frozen=True)
-class Classification:
+_KINDS = frozenset(("trivial", "xi", "p", "r", "lift", "sporadic"))
+
+
+class Classification(Record):
     """Where a point came from.
 
-    kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'.  A 'lift'
-    wraps a base verdict b plus a count k >= 1: the point is eta(zeta^k(w))
-    for a trivial involution eta and a point w whose increasing positive
-    form is b (or w is trivial).  witness carries the exact descent data
-    (the outer involution, k, the inner involution and the base point) so
-    the verdict can be replayed forward; it is deliberately excluded from
-    the serialized forms.
+    kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'; any other
+    raises ValueError.  A 'lift' wraps a base verdict b plus a count k >= 1:
+    the point is eta(zeta^k(w)) for a trivial involution eta and a point w
+    whose increasing positive form is b (or w is trivial).  witness carries
+    the exact descent data (the outer involution, k, the inner involution
+    and the base point) so the verdict can be replayed forward; it is
+    deliberately excluded from the serialized forms, from equality, hashing
+    and repr.
     """
 
-    kind: str
-    n: Optional[int] = None
-    t: Optional[Fraction] = None
-    x: Optional[Fraction] = None
-    index: Optional[int] = None
-    base: Optional["Classification"] = None
-    lifts: int = 0
-    witness: Optional[tuple] = field(default=None, repr=False, compare=False)
+    __slots__ = ("kind", "n", "t", "x", "index", "base", "lifts", "witness", "_key")
+
+    def __init__(
+        self,
+        kind: str,
+        n: Optional[int] = None,
+        t: Optional[Fraction] = None,
+        x: Optional[Fraction] = None,
+        index: Optional[int] = None,
+        base: Optional[Classification] = None,
+        lifts: int = 0,
+        witness: Optional[tuple] = None,
+    ):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown classification kind {kind!r}")
+        _set_kind(self, kind)
+        _set_n(self, n)
+        _set_t(self, t)
+        _set_x(self, x)
+        _set_index(self, index)
+        _set_base(self, base)
+        _set_lifts(self, lifts)
+        _set_witness(self, witness)
+        # kept, not computed: comparing two verdicts is one tuple comparison
+        _set_key(self, (kind, n, t, x, index, base, lifts))
 
     def describe(self) -> str:
         if self.kind == "trivial":
@@ -458,6 +478,10 @@ class Classification:
             out["lifts"] = self.lifts
             out["base"] = self.base.to_json()
         return out
+
+
+(_set_kind, _set_n, _set_t, _set_x, _set_index, _set_base, _set_lifts,
+ _set_witness, _set_key) = slot_setters(Classification)
 
 
 def _exact_point(seq: Sequence) -> Tuple:

@@ -25,7 +25,6 @@ re-proves every claimed relation between these maps from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -35,6 +34,7 @@ from typing import Tuple
 from . import assets
 from .mpoly import MPoly4
 from .poly import RatFunc, UPoly, upoly_gcd
+from .record import Record, slot_setters
 
 __all__ = [
     "DenominatorVanishes",
@@ -75,16 +75,31 @@ class DenominatorVanishes(ZeroDivisionError):
 # -- trivial involutions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivialInvolution:
+# the 16 sign tuples; each, with or without reversal, is a trivial involution
+_SIGNS = frozenset(product((1, -1), repeat=4))
+
+
+class TrivialInvolution(Record):
     """Element of the group generated by the four sign flips and reversal.
 
     Acts by reversing first (when rev is set), then flipping signs, so
-    signs[i] applies to output slot i.
+    signs[i] applies to output slot i.  signs is a tuple of four values,
+    each 1 or -1, and rev a bool; anything else raises ValueError.
     """
 
-    signs: Tuple[int, int, int, int]
-    rev: bool
+    __slots__ = ("signs", "rev")
+
+    def __init__(self, signs: Tuple[int, int, int, int], rev: bool):
+        if signs not in _SIGNS or (rev is not True and rev is not False):
+            raise ValueError(
+                f"not a trivial involution: signs {signs!r}, rev {rev!r}"
+            )
+        _set_signs(self, signs)
+        _set_rev(self, rev)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.signs, self.rev)
 
     def __call__(self, pt: Point) -> Point:
         if self.rev:
@@ -115,6 +130,9 @@ class TrivialInvolution:
         flips = "".join(str(i + 1) for i, s in enumerate(self.signs) if s < 0)
         parts = (["tau"] if self.rev else []) + ([f"mu{flips}"] if flips else [])
         return "*".join(parts) or "id"
+
+
+_set_signs, _set_rev = slot_setters(TrivialInvolution)
 
 
 IDENTITY = TrivialInvolution((1, 1, 1, 1), False)

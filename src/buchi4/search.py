@@ -16,13 +16,13 @@ compared against the bundled table of 121 reference rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import assets
 from .arith import as_perfect_square
 from .families import Classification, classify, extends_left, extends_right
 from .maps import on_surface
+from .record import Record, slot_setters
 
 __all__ = [
     "SearchRecord",
@@ -81,17 +81,29 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class SearchRecord:
+class SearchRecord(Record):
     """One search result: the sequence, where it came from, and the
     nonnegative fifth values extending it on each side (None if none).
     search_records leaves classification and the extension values None
     when they are not asked for."""
 
-    seq: Seq
-    classification: Optional[Classification]
-    extends_left: Optional[int]
-    extends_right: Optional[int]
+    __slots__ = ("seq", "classification", "extends_left", "extends_right")
+
+    def __init__(
+        self,
+        seq: Seq,
+        classification: Optional[Classification],
+        extends_left: Optional[int],
+        extends_right: Optional[int],
+    ):
+        _set_seq(self, seq)
+        _set_classification(self, classification)
+        _set_extends_left(self, extends_left)
+        _set_extends_right(self, extends_right)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.seq, self.classification, self.extends_left, self.extends_right)
 
     def csv_row(self) -> str:
         cls = "" if self.classification is None else self.classification.serialize()
@@ -111,6 +123,11 @@ class SearchRecord:
             "extends_left": self.extends_left,
             "extends_right": self.extends_right,
         }
+
+
+_set_seq, _set_classification, _set_extends_left, _set_extends_right = slot_setters(
+    SearchRecord
+)
 
 
 def search_records(
@@ -176,14 +193,26 @@ def plot_data(records: Optional[Sequence[SearchRecord]] = None) -> List[Tuple[in
     return [(rec.seq[0], i) for i, rec in enumerate(records, start=1)]
 
 
-@dataclass(frozen=True)
-class TableComparison:
+class TableComparison(Record):
     """Set comparison of Sporadic search results against the bundled rows."""
 
-    x2_bound: int
-    matches: Tuple[Seq, ...]
-    misses: Tuple[Seq, ...]
-    extras: Tuple[Seq, ...]
+    __slots__ = ("x2_bound", "matches", "misses", "extras")
+
+    def __init__(
+        self,
+        x2_bound: int,
+        matches: Tuple[Seq, ...],
+        misses: Tuple[Seq, ...],
+        extras: Tuple[Seq, ...],
+    ):
+        _set_x2_bound(self, x2_bound)
+        _set_matches(self, matches)
+        _set_misses(self, misses)
+        _set_extras(self, extras)
+
+    @property
+    def _key(self) -> tuple:
+        return (self.x2_bound, self.matches, self.misses, self.extras)
 
     @property
     def ok(self) -> bool:
@@ -199,6 +228,9 @@ class TableComparison:
             for row in rows:
                 lines.append(f"  {name}: {row}")
         return "\n".join(lines)
+
+
+_set_x2_bound, _set_matches, _set_misses, _set_extras = slot_setters(TableComparison)
 
 
 def compare_with_table(

@@ -9,7 +9,6 @@ slowest test here.
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -39,6 +38,7 @@ from buchi4.maps import (
 )
 from buchi4.poly import UPoly
 from buchi4.search import (
+    SearchRecord,
     bundled_table,
     compare_with_table,
     enumerate_sequences,
@@ -181,7 +181,10 @@ def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline, monkeypatc
     # (192 steps at t = 22) and reach the 200-step cap from t = 23, past
     # the desk bound.  Cut at 8 steps, every desk verdict is unchanged.
     monkeypatch.setattr(families, "_MAX_CHAIN", 8)
-    records = [replace(r, classification=classify(r.seq)) for r in desk_pipeline]
+    records = [
+        SearchRecord(r.seq, classify(r.seq), r.extends_left, r.extends_right)
+        for r in desk_pipeline
+    ]
     assert _csv_digest(records).startswith(DESK_CSV_DIGEST)
 
 

@@ -2,6 +2,7 @@
 loads only what its eager names need."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -48,6 +49,20 @@ def test_import_leaves_unused_modules_unloaded():
     assert "buchi4.families" in loaded
     unused = {"curves", "search", "verify", "factorint", "cli"}
     assert not loaded & {f"buchi4.{name}" for name in unused}
+
+
+def test_setup_and_records_load_neither_dataclasses_nor_inspect():
+    # the benchmark's set-up sequence, then the two modules it leaves out
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", run_py)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    out = run_fresh(
+        run.SETUP_CODE
+        + "import sys, buchi4.search, buchi4.curves\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == "False False"
 
 
 def test_lazy_names_resolve_on_access_star_import_and_dir():
