@@ -1,16 +1,22 @@
 """Sums of two squares over the Gaussian integers.
 
-The search needs the factorization of 2(x^2 + 1) for every x up to a
-bound.  `gaussian_factorizations` streams them from a segmented sieve of
-x^2 + 1, one block of x at a time, as the Gaussian primes that divide
-x + i; the sieve hands out a square root of -1 modulo every prime it
-finds, so no primality test and no general factoring is needed, and its
-memory is one block plus the primes that come back later.
+The search needs every way of writing 2(x^2 + 1) as a sum of two
+squares, for every x up to a bound.  `gaussian_factorizations` streams
+the Gaussian primes of x + i from a segmented sieve of x^2 + 1, one
+block of x at a time; the sieve hands out a square root of -1 modulo
+every prime it finds, so no primality test and no general factoring is
+needed.  Cornacchia's algorithm, `gaussian_prime`, runs only for a prime
+that comes back below the bound, and a carried prime waits in a bucket
+keyed by the block where it next divides, so one of norm at least the
+block is not visited at the blocks it skips; the memory is one block
+plus the primes that come back.  The products start from one known
+Gaussian integer of the norm, for the search the trivial
+(1 + i)(x + i) = (x - 1) + (x + 1)i, and `gaussian_products` turns one
+prime at a time from pi to conj(pi) by exact division.
 `two_square_reps` decomposes a single integer by trial division and
-finds the Gaussian prime of each split prime from a square root of -1.
-Both feed one Gaussian-integer product, `gaussian_products`, which
-`reps_from_primes` turns into the list of representations.  Everything is
-exact and stdlib-only.
+finds the Gaussian prime of each split prime from a square root of -1;
+`reps_from_primes` builds its starting product and feeds the same
+routine.  Everything is exact and stdlib-only.
 """
 
 from __future__ import annotations
@@ -28,31 +34,38 @@ __all__ = [
 ]
 
 GaussianPrimes = list[tuple[tuple[int, int], int]]
+# ((c, d, p), e): c + di = conj(pi)^2 for the Gaussian prime pi of norm p
+Factors = list[tuple[tuple[int, int, int], int]]
 
 # values of x per sieve block
 _BLOCK = 1 << 14
 
 
-def _divide_out(rem, found, lo, hi, p, pi, y):
-    """Divide p out of rem at y, y + p, ... below hi, rem[0] standing for
-    x = lo, and record (pi, e) for each, p^e the power taken out.  Returns
-    the first of those x at or past hi."""
+def _divide_out(rem, found, lo, hi, f, y):
+    """Divide p = f[2] out of rem at y, y + p, ... below hi, rem[0]
+    standing for x = lo, and record (f, e) for each, p^e the power taken
+    out.  Returns the first of those x at or past hi."""
+    p = f[2]
     while y < hi:
         i = y - lo
         q, e = rem[i] // p, 1
         while q % p == 0:
             q, e = q // p, e + 1
         rem[i] = q
-        found[i].append((pi, e))
+        found[i].append((f, e))
         y += p
     return y
 
 
-def gaussian_factorizations(n_max: int) -> Iterator[tuple[int, GaussianPrimes]]:
-    """Yield (x, [(pi, e), ...]) for 2 <= x <= n_max in ascending order, one
-    pair for each odd prime p of x^2 + 1: pi = a + bi is the Gaussian prime
-    of norm p that divides x + i, and pi^e exactly divides it, so x + i is a
-    unit times (1 + i)^(x & 1) times the product of the pi^e.  An x whose
+def gaussian_factorizations(n_max: int) -> Iterator[tuple[int, int, Factors]]:
+    """Yield (x, leftover, factors) for 2 <= x <= n_max in ascending order.
+    x + i is a unit times (1 + i)^(x & 1) times, if leftover > 1, the
+    Gaussian prime of norm leftover that divides it, times pi^e for each
+    ((c, d, p), e) in factors: pi is the Gaussian prime of norm p that
+    divides x + i, pi^e exactly divides it, and c + di = conj(pi)^2, so
+    (x + i) (c + di)^m / p^m is a Gaussian integer for m <= e.  leftover is
+    1 or the one prime found at x, and factors lists the primes found below
+    x, in ascending order of the x where each was found.  An x whose
     x^2 + 1 is p or 2p, p prime, is left out: 2(x^2 + 1) is then only
     (x - 1)^2 + (x + 1)^2.
 
@@ -62,57 +75,68 @@ def gaussian_factorizations(n_max: int) -> Iterator[tuple[int, GaussianPrimes]]:
     each exceed 2x, so their product would exceed x^2 + 1.  Hence what is
     left at x is 1 or a prime p with least root x, found there once.  Then
     pi divides x' + i again at x' = x + kp, and conj(pi) does at
-    x' = p - x + kp, so p is carried from block to block as
-    [p, pi, conj(pi), next x' = x mod p, next x' = -x mod p] until both
-    pass n_max.  A p that never comes back and is all of x^2 + 1 but the 2
-    is skipped without finding pi."""
-    live: list[list] = []
-    for lo in range(2, n_max + 1, _BLOCK):
-        hi = min(lo + _BLOCK, n_max + 1)
+    x' = p - x + kp.  Only a p that comes back, p - x <= n_max, needs pi,
+    from gaussian_prime; it is carried as one entry (x, f, next x') per
+    progression, f = (c, d, p), in a bucket keyed by the block of its next
+    x'.  A block takes its bucket, so an entry of p >= _BLOCK, which hits a
+    block at most once, is not visited at the blocks between its hits.
+    Each bucket is sorted, so the entries are walked in ascending order of
+    the x where their primes were found, and the order of factors does not
+    depend on _BLOCK."""
+    block = _BLOCK
+    buckets: dict[int, list[tuple]] = {}
+    for lo in range(2, n_max + 1, block):
+        hi = min(lo + block, n_max + 1)
         rem = [x * x + 1 >> (x & 1) for x in range(lo, hi)]
-        found: list[GaussianPrimes] = [[] for _ in range(lo, hi)]
-        carried = live
-        live = []
-        for prime in carried:
-            p, pi, pibar, y, z = prime
-            prime[3] = y = _divide_out(rem, found, lo, hi, p, pi, y)
-            prime[4] = z = _divide_out(rem, found, lo, hi, p, pibar, z)
-            if y <= n_max or z <= n_max:
-                live.append(prime)
+        found: list[Factors] = [[] for _ in range(lo, hi)]
+        carried = buckets.pop(lo, [])
+        carried.sort()
+        for x, f, y in carried:
+            y = _divide_out(rem, found, lo, hi, f, y)
+            if y <= n_max:
+                buckets.setdefault(y - (y - 2) % block, []).append((x, f, y))
         # _divide_out writes rem only past x, where the zip has yet to read
-        for x, p, primes in zip(range(lo, hi), rem, found):
+        for x, p, factors in zip(range(lo, hi), rem, found):
             if p > 1:
-                comes_back = p - x <= n_max
-                if not (primes or comes_back):
-                    continue  # x^2 + 1 is p or 2p, and p does not come back
-                pi = gaussian_prime(p, x)
-                if comes_back:
-                    pibar = (pi[0], -pi[1])
-                    y = _divide_out(rem, found, lo, hi, p, pi, x + p)
-                    z = _divide_out(rem, found, lo, hi, p, pibar, p - x)
-                    if y <= n_max or z <= n_max:
-                        live.append([p, pi, pibar, y, z])
-                if not primes:
-                    continue  # x^2 + 1 is p or 2p
-                primes.append((pi, 1))
-            elif len(primes) == 1 and primes[0][1] == 1:
-                continue  # x^2 + 1 = 2p with p found below x, which is x = 3
-            yield x, primes
+                if p - x <= n_max:
+                    a, b = gaussian_prime(p, x)
+                    c, d = a * a - b * b, 2 * a * b
+                    # conj(pi)^2 at x + kp, pi^2 at p - x + kp
+                    for f, y in ((c, -d, p), x + p), ((c, d, p), p - x):
+                        y = _divide_out(rem, found, lo, hi, f, y)
+                        if y <= n_max:
+                            key = y - (y - 2) % block
+                            buckets.setdefault(key, []).append((x, f, y))
+                if factors:
+                    yield x, p, factors
+            elif len(factors) > 1 or factors[0][1] > 1:
+                yield x, 1, factors
+            # else x^2 + 1 = 2p with p found below x, which is x = 3
 
 
 def sqrt_minus_one_mod(p: int) -> int:
-    """A square root of -1 modulo a prime p congruent to 1 mod 4."""
+    """A square root of -1 modulo a prime p congruent to 1 mod 4.
+
+    ValueError when p is not 1 mod 4, or when Euler's criterion shows p
+    composite: for a prime, a^((p-1)/2) is 1 or -1 for every a < p, and a
+    prime factor q of p gives a multiple of q, neither, so the walk over a
+    stops by a = q."""
     if p % 4 != 1:
         raise ValueError("p must be 1 mod 4")
     a = 2
-    while pow(a, (p - 1) // 2, p) != p - 1:
+    while True:
+        t = pow(a, (p - 1) // 2, p)
+        if t == p - 1:
+            return pow(a, (p - 1) // 4, p)
+        if t != 1:
+            raise ValueError(f"{p} is not prime")
         a += 1
-    return pow(a, (p - 1) // 4, p)
 
 
 def gaussian_prime(p: int, root: int) -> tuple[int, int]:
     """The Gaussian prime a + bi of norm p that divides root + i, for a
-    prime p = 1 mod 4 and root^2 = -1 mod p.
+    prime p = 1 mod 4 and root^2 = -1 mod p; ValueError when a^2 + b^2
+    misses p, as it does when root^2 is not -1 mod p.
 
     Cornacchia: Euclid's algorithm on (p, root) reaches a first remainder
     a < sqrt(p), and then p - a^2 = b^2.  In Z[i] / (a + bi) = F_p, i is
@@ -122,65 +146,51 @@ def gaussian_prime(p: int, root: int) -> tuple[int, int]:
     while a * a > p:
         r, a = a, r % a
     b = isqrt(p - a * a)
+    if a * a + b * b != p:
+        raise ValueError(f"{root} is not a square root of -1 mod {p}")
     if (root * b - a) % p:
         b = -b
     return a, b
 
 
-def gaussian_products(two_exp: int, primes: GaussianPrimes) -> list[tuple[int, int]]:
-    """The Gaussian integers z = a + bi, one per pair {z, conj(z)} up to
-    units, of norm 2^two_exp prod p^e, where primes lists (pi, e) for
-    distinct split primes p, pi the Gaussian prime of p.  zs[0] is the
-    all-conjugate product, (1 + i)^two_exp prod conj(pi)^e up to a unit.
+def gaussian_products(
+    z0: tuple[int, int], factors: Factors, half_first: bool
+) -> list[tuple[int, int]]:
+    """The Gaussian integers z0 prod (conj(pi)^2 / p)^m, m = 0..e for each
+    ((c, d, p), e) in factors, c + di = conj(pi)^2, where pi^e divides z0;
+    for the first factor m runs only to e // 2 when half_first is set.
 
-    Every such z is a unit times (1+i)^two_exp times, for each prime,
-    pi^j conj(pi)^(e-j), and (1+i)^k is a unit times 2^(k//2) (1+i)^(k%2).
-    pi^j conj(pi)^(e-j) is p^m times pi^(j-m) conj(pi)^(e-j-m),
-    m = min(j, e - j): the factors p^m conj(pi)^(e-2m) for 0 <= m <= e // 2,
-    conj(pi)^e first, then their conjugates p^m pi^(e-2m) for 2m < e.
-    Conjugating a product flips the choice at every prime, so the first
-    prime takes only the conj(pi) side.  When the first prime's e is odd,
-    no z comes up twice up to units and conjugation; when it is even, its
-    middle factor p^(e/2) is its own conjugate, and a z can.
+    conj(pi)^2 / p = conj(pi) / pi has norm 1, and m of them turn pi^m in
+    z0 into conj(pi)^m, so each step is a product with c + di and an exact
+    division by p.  When z0 holds exactly pi^e and no conj(pi), these are
+    all the Gaussian integers of its norm with its other primes, one per
+    pair {z, conj(z)} up to units, as long as one prime stays on its pi
+    side: a prime of z0 outside factors (the search's leftover), or, with
+    half_first, the first factor, which conjugation takes from m to e - m.
+    When that first e is even, m = e / 2 is its own conjugate, and a z can
+    come up twice.
 
     The order is part of the contract: each running product z is replaced
-    by z f for every factor f of the next prime in the order above, so
-    zs[0] is the all-conjugate product, which enumerate_sequences skips as
-    the trivial one.  A prime of exponent 1, most of them, multiplies
-    z = u + vi in place into z conj(pi), z pi side by side, in integers,
-    with no list of factors; a higher power builds its factors from a table
-    of powers of pi."""
-    s = 1 << (two_exp >> 1)
-    zs = [(s, s) if two_exp & 1 else (s, 0)]
-    first = True
-    for (a, b), e in primes:
-        if e > 1:
-            p = a * a + b * b
-            powers = [(1, 0)]
-            for _ in range(e):
-                c, d = powers[-1]
-                powers.append((a * c - b * d, a * d + b * c))
-            factors = []
-            for m in range(e // 2 + 1):
-                c, d = powers[e - 2 * m]
-                q = p**m
-                factors.append((q * c, -q * d))
-            if not first:
-                factors += [(c, -d) for c, d in factors[: (e + 1) // 2]]
-            zs = [(u * c - v * d, u * d + v * c) for u, v in zs for c, d in factors]
-        elif first:
-            u, v = zs[0]
-            zs = [(u * a + v * b, v * a - u * b)]
-        else:
+    by z, z f, ..., z f^e for the next factor f, so zs[0] is z0, which
+    enumerate_sequences skips as the trivial product."""
+    zs = [z0]
+    for (c, d, p), e in factors:
+        if half_first:
+            e //= 2
+            half_first = False
+        if e == 1:  # most factors: z and z f side by side
             out = []
             for u, v in zs:
-                ua = u * a
-                vb = v * b
-                ub = u * b
-                va = v * a
-                out += (ua + vb, va - ub), (ua - vb, ub + va)
+                out += (u, v), ((u * c - v * d) // p, (u * d + v * c) // p)
             zs = out
-        first = False
+        elif e:
+            out = []
+            for u, v in zs:
+                out.append((u, v))
+                for _ in range(e):
+                    u, v = (u * c - v * d) // p, (u * d + v * c) // p
+                    out.append((u, v))
+            zs = out
     return zs
 
 
@@ -189,15 +199,20 @@ def reps_from_primes(
 ) -> list[tuple[int, int]]:
     """All (r, s) with 0 <= r <= s and r^2 + s^2 = real^2 2^two_exp
     prod p^e, in ascending order, where primes lists (pi, e) for distinct
-    split primes p, pi the Gaussian prime of p: the products of
-    gaussian_products times real, as (|a|, |b|) sorted, which forgets
-    units and conjugation."""
-    pairs = []
-    for u, v in gaussian_products(two_exp, primes):
-        u, v = real * abs(u), real * abs(v)
-        pairs.append((u, v) if u <= v else (v, u))
-    if primes and not primes[0][1] & 1:
-        pairs = set(pairs)
+    split primes p, pi the Gaussian prime of p: gaussian_products from
+    z0 = real (1 + i)^two_exp prod pi^e, as (|a|, |b|) sorted, which
+    forgets units and conjugation."""
+    s = real << (two_exp >> 1)
+    u, v = (s, s) if two_exp & 1 else (s, 0)
+    factors = []
+    for (a, b), e in primes:
+        for _ in range(e):
+            u, v = u * a - v * b, u * b + v * a
+        factors.append(((a * a - b * b, -2 * a * b, a * a + b * b), e))
+    pairs = set()
+    for u, v in gaussian_products((u, v), factors, True):
+        u, v = abs(u), abs(v)
+        pairs.add((u, v) if u <= v else (v, u))
     return sorted(pairs)
 
 

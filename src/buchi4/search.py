@@ -4,10 +4,11 @@ A strictly increasing positive quadruple on the surface is pinned down by
 (x2, x3): the defining equations force x1^2 = 2 x2^2 - x3^2 + 2 and
 x4^2 = 2 x3^2 - x2^2 + 2, so a search looks for the x3 in the window
 (x2, isqrt(2 x2^2 + 1)] where both radicands are perfect squares.  The
-search writes 2(x2^2 + 1) = x1^2 + x3^2 in every way but the trivial
-(x2 - 1)^2 + (x2 + 1)^2, from the Gaussian primes of x2 + i that a
-segmented sieve of x^2 + 1 streams block by block, so its memory stays
-bounded as the bound grows, and keeps the x3 whose second radicand is a
+search writes 2(x2^2 + 1) = x1^2 + x3^2 in every way by turning the
+trivial (x2 - 1)^2 + (x2 + 1)^2 one prime at a time, from the Gaussian
+primes of x2 + i that a segmented sieve of x^2 + 1 streams block by block
+(Cornacchia runs only for a prime that comes back, and carried primes
+wait in buckets by block), and keeps the x3 whose second radicand is a
 square.  The tests check it against a scan of the whole window.
 
 Search results are classified, tested for extension on both sides, and
@@ -42,7 +43,7 @@ Seq = Tuple[int, int, int, int]
 def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     """All non-trivial strictly increasing positive quadruples with
     x2 <= x2_max, sorted by (x1, x2), duplicate-free, from the streamed
-    sieve, in memory that grows about as x2_max / log x2_max (49 MB at the
+    sieve, in memory that grows about as x2_max / log x2_max (47 MB at the
     bundled table's x2_max = 1157218).
 
     engine accepts only "two-squares", the one engine, and any other value
@@ -57,11 +58,11 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
     # compile the factorization code
     from .factorint import gaussian_factorizations, gaussian_products
 
-    out = []
-    for x2, primes in gaussian_factorizations(x2_max):
-        # 2 (x2^2 + 1) = |(1 + i)(x2 + i)|^2, with one more 2 when x2 is odd;
-        # the first product is the trivial (x2 - 1, x2 + 1)
-        products = iter(gaussian_products(1 + (x2 & 1), primes))
+    rows = set()
+    for x2, leftover, factors in gaussian_factorizations(x2_max):
+        # the first product is the trivial (1 + i)(x2 + i) = (x2 - 1, x2 + 1);
+        # holding one prime on its side leaves one z of each conjugate pair
+        products = iter(gaussian_products((x2 - 1, x2 + 1), factors, leftover == 1))
         next(products)
         c = 2 - x2 * x2
         for u, v in products:
@@ -74,11 +75,8 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
                 x3 = u if u > v else v
                 x4 = as_perfect_square(2 * x3 * x3 + c)
                 if x4 is not None:
-                    seq = (u + v - x3, x2, x3, x4)
-                    # only an even first exponent brings a pair up twice
-                    if primes[0][1] & 1 or seq not in out:
-                        out.append(seq)
-    return sorted(out)
+                    rows.add((u + v - x3, x2, x3, x4))
+    return sorted(rows)
 
 
 class SearchRecord(Record):

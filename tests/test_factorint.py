@@ -91,32 +91,44 @@ def lone(x):
     return is_prime(x * x + 1 >> (x & 1))
 
 
-def products_from_the_docstring(two_exp, primes):
-    """gaussian_products built as its docstring describes it: per prime,
-    the factors p^m conj(pi)^(e-2m) for 0 <= m <= e // 2, then their
-    conjugates for 2m < e, the first prime on the conjugate side only;
-    then every choice of one factor per prime, the last prime's choice
-    varying fastest, times 2^(two_exp // 2) (1 + i)^(two_exp % 2)."""
-    choices = []
-    for k, ((a, b), e) in enumerate(primes):
-        p = a * a + b * b
-        side = []
-        for m in range(e // 2 + 1):
-            z = (p**m, 0)
-            for _ in range(e - 2 * m):
-                z = gmul(z, (a, -b))
-            side.append(z)
-        conjugates = [(c, -d) for m, (c, d) in enumerate(side) if 2 * m < e]
-        choices.append(side if k == 0 else side + conjugates)
-    s = 2 ** (two_exp // 2)
-    base = (s, s) if two_exp % 2 else (s, 0)
+def products_from_the_docstring(z0, factors, half_first):
+    """gaussian_products built as its docstring describes it: every choice
+    of m = 0..e per factor ((c, d, p), e), m <= e // 2 for the first when
+    half_first is set, the last factor's choice varying fastest, each
+    z0 (c + di)^m / p^m, divided only at the end."""
+    choices = [
+        range(e // 2 + 1 if half_first and k == 0 else e + 1)
+        for k, (_, e) in enumerate(factors)
+    ]
     zs = []
-    for factors in product(*choices):
-        z = base
-        for f in factors:
-            z = gmul(z, f)
-        zs.append(z)
+    for ms in product(*choices):
+        z, q = z0, 1
+        for ((c, d, p), _), m in zip(factors, ms):
+            for _ in range(m):
+                z = gmul(z, (c, d))
+            q *= p**m
+        assert z[0] % q == 0 and z[1] % q == 0, (z0, factors, ms)
+        zs.append((z[0] // q, z[1] // q))
     return zs
+
+
+def start_and_factors(two_exp, primes):
+    """(1 + i)^two_exp prod pi^e and the factors ((c, d, p), e),
+    c + di = conj(pi)^2, for primes listing (pi, e)."""
+    z0 = (1, 0)
+    for _ in range(two_exp):
+        z0 = gmul(z0, (1, 1))
+    factors = []
+    for (a, b), e in primes:
+        for _ in range(e):
+            z0 = gmul(z0, (a, b))
+        factors.append(((*gmul((a, -b), (a, -b)), a * a + b * b), e))
+    return z0, factors
+
+
+def pairs(zs):
+    """The (|a|, |b|) sorted of each a + bi, sorted, duplicates dropped."""
+    return sorted({tuple(sorted((abs(u), abs(v)))) for u, v in zs})
 
 
 def test_two_square_reps_matches_brute_force():
@@ -134,49 +146,84 @@ def test_two_square_reps_on_search_radicands():
 
 
 def test_sieve_factors_multiply_back_with_roots():
-    # each pi divides x + i, x being a root of -1 mod its norm p
+    # the factors and the leftover multiply back to x^2 + 1 less its 2;
+    # each c + di is conj(pi)^2, pi | x + i, so (c + di)(x + i) = 0 mod p;
+    # and the factors come in ascending order of their least roots, all
+    # below x, the leftover's least root being x
     stream = list(gaussian_factorizations(2000))
-    xs = [x for x, _ in stream]
+    xs = [x for x, _, _ in stream]
     assert xs == [x for x in range(2, 2001) if not lone(x)]
-    for x, fac in stream:
-        prod = 2 if x & 1 else 1
-        norms = []
-        for pi, e in fac:
-            p = pi[0] ** 2 + pi[1] ** 2
+    for x, leftover, factors in stream:
+        assert leftover == 1 or (is_prime(leftover) and leftover > 2 * x), x
+        prod = leftover
+        roots = []
+        for (c, d, p), e in factors:
             assert p % 4 == 1 and e >= 1 and is_prime(p)
-            assert (x * x + 1) % p == 0 and divides(pi, (x, 1)), (x, pi)
-            norms.append(p)
+            assert c * c + d * d == p * p
+            u, v = gmul((c, d), (x, 1))
+            assert u % p == 0 and v % p == 0, (x, c, d, p)
+            roots.append(min(x % p, -x % p))
             prod *= p**e
-        assert prod == x * x + 1, x
-        assert len(set(norms)) == len(norms)
+        assert prod == x * x + 1 >> (x & 1), x
+        assert roots == sorted(set(roots)) and all(r < x for r in roots), x
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_stream_is_the_factorization_of_x_plus_i_in_any_block(monkeypatch, block):
-    # (1 + i)^(x & 1) prod pi^e is x + i up to a unit, whatever the block
+    # (x + i) prod (c + di)^e / p^e is a Gaussian integer, so pi^e divides
+    # x + i for each factor, whatever the block
     reference = list(gaussian_factorizations(3000))
     monkeypatch.setattr(factorint, "_BLOCK", block)
     stream = list(gaussian_factorizations(3000))
     assert stream == reference
-    for x, fac in stream:
-        z = (1, 1) if x & 1 else (1, 0)
-        for pi, e in fac:
+    for x, _, factors in stream:
+        z, q = (x, 1), 1
+        for (c, d, p), e in factors:
             for _ in range(e):
-                z = gmul(z, pi)
-        assert (x, 1) in units(z), (x, fac)
+                z = gmul(z, (c, d))
+            q *= p**e
+        assert z[0] % q == 0 and z[1] % q == 0, (x, factors)
+
+
+def test_cornacchia_runs_only_for_primes_that_come_back(monkeypatch):
+    # a prime p is found at its least root r and comes back at p - r, so
+    # the stream needs its Gaussian prime only when p - r <= the bound
+    calls = []
+
+    def counted(p, root):
+        calls.append(p)
+        return gaussian_prime(p, root)
+
+    monkeypatch.setattr(factorint, "gaussian_prime", counted)
+    for _ in gaussian_factorizations(3000):
+        pass
+    expected = []
+    for p in range(5, 6001, 4):
+        if is_prime(p):
+            r = next(r for r in range(2, p) if (r * r + 1) % p == 0)
+            if p - r <= 3000:
+                expected.append(p)
+    assert sorted(calls) == expected
+    assert len(calls) == 279
 
 
 def test_gaussian_reps_from_the_sieve_match_brute_force():
-    # the search's call: 2 (x^2 + 1) from the Gaussian primes of x + i
-    stream = dict(gaussian_factorizations(3000))
+    # the search's call: 2 (x^2 + 1) from z0 = (1 + i)(x + i), the prime
+    # found at x held on its pi side, else the first factor halved; with a
+    # leftover or an odd first exponent no pair comes up twice
+    stream = {x: rest for x, *rest in gaussian_factorizations(3000)}
     for x in range(2, 3001):
+        z0 = (x - 1, x + 1)
         if x in stream:
-            zs = gaussian_products(1 + (x & 1), stream[x])
-            assert zs == products_from_the_docstring(1 + (x & 1), stream[x]), x
-            reps = reps_from_primes(1, 1 + (x & 1), stream[x])
+            leftover, factors = stream[x]
+            half_first = leftover == 1
+            zs = gaussian_products(z0, factors, half_first)
+            assert zs == products_from_the_docstring(z0, factors, half_first), x
+            if not half_first or factors[0][1] & 1:
+                assert len(pairs(zs)) == len(zs), x
         else:
-            reps = [(x - 1, x + 1)]
-        assert reps == brute_reps(2 * x * x + 2), x
+            zs = [z0]
+        assert pairs(zs) == brute_reps(2 * x * x + 2), x
 
 
 @pytest.mark.parametrize(
@@ -201,14 +248,22 @@ def test_gaussian_products_keep_their_order(exponents):
         (gaussian_prime(p, sqrt_minus_one_mod(p)), e) for p, e in zip(norms, exponents)
     ]
     for two_exp in range(4):
-        zs = gaussian_products(two_exp, primes)
-        assert zs == products_from_the_docstring(two_exp, primes), two_exp
+        z0, factors = start_and_factors(two_exp, primes)
+        for half_first in (False, True):
+            zs = gaussian_products(z0, factors, half_first)
+            assert zs[0] == z0, (two_exp, half_first)
+            expected = products_from_the_docstring(z0, factors, half_first)
+            assert zs == expected, (two_exp, half_first)
+        n = 2**two_exp
+        for p, e in zip(norms, exponents):
+            n *= p**e
+        assert pairs(zs) == reps_from_primes(1, two_exp, primes) == brute_reps(n)
 
 
 def test_one_split_prime_gives_only_the_trivial_representation():
     # x^2 + 1 = p or 2p, p prime: the stream leaves x out, and the only
     # representation of 2 (x^2 + 1) is the trivial one
-    streamed = {x for x, _ in gaussian_factorizations(3000)}
+    streamed = {x for x, _, _ in gaussian_factorizations(3000)}
     left_out = [x for x in range(2, 3001) if x not in streamed]
     assert sum(x <= 1500 for x in left_out) == 344
     for x in left_out:
@@ -232,3 +287,32 @@ def test_gaussian_prime_matches_the_gaussian_gcd(start, other_root):
     assert a * a + b * b == p
     assert divides((a, b), (root, 1))
     assert (a, b) in units(gaussian_gcd((p, 0), (root, 1)))
+
+
+@pytest.mark.parametrize("n", [9, 21, 25, 49, 561])
+def test_sqrt_minus_one_mod_refuses_composites(n):
+    with pytest.raises(ValueError):
+        sqrt_minus_one_mod(n)
+
+
+def test_sqrt_minus_one_mod_on_primes():
+    # the first a with a^((p-1)/2) = -1 gives a^((p-1)/4), as before
+    for p in range(3, 3000, 2):
+        if not is_prime(p):
+            continue
+        if p % 4 == 3:
+            with pytest.raises(ValueError):
+                sqrt_minus_one_mod(p)
+            continue
+        a = 2
+        while pow(a, (p - 1) // 2, p) != p - 1:
+            a += 1
+        assert sqrt_minus_one_mod(p) == pow(a, (p - 1) // 4, p), p
+
+
+def test_gaussian_prime_refuses_a_wrong_root():
+    # 3^2 = 2 mod 7: Euclid stops at 1, and 1 + 2^2 is 5, not 7
+    with pytest.raises(ValueError):
+        gaussian_prime(7, 3)
+    with pytest.raises(ValueError):
+        gaussian_prime(13, 4)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from buchi4.arith import as_perfect_square
-from buchi4.factorint import gaussian_factorizations, gaussian_products, reps_from_primes
+from buchi4.factorint import gaussian_factorizations, gaussian_products
 from buchi4.families import is_trivial
 from buchi4.maps import on_surface
 from buchi4.search import (
@@ -64,26 +64,30 @@ def test_engines_agree():
 
 
 def test_trivial_filter_agrees_with_is_trivial():
-    # the search never forms the all-conjugate product, the first of
-    # gaussian_products, instead of calling is_trivial; the x2
-    # the stream leaves out have only that representation
-    stream = dict(gaussian_factorizations(3000))
-    expected = []
+    # the search skips the first of gaussian_products, its starting
+    # product (1 + i)(x2 + i) = (x2 - 1) + (x2 + 1)i, instead of calling
+    # is_trivial, and no other product is trivial; the x2 the stream
+    # leaves out have only that representation
+    stream = {x2: rest for x2, *rest in gaussian_factorizations(3000)}
+    expected = set()
     for x2 in range(2, 3001):
         if x2 not in stream:
             assert is_trivial((x2 - 1, x2, x2 + 1, x2 + 2))
             continue
-        trivial = gaussian_products(1 + (x2 & 1), stream[x2])[0]
-        assert sorted(map(abs, trivial)) == [x2 - 1, x2 + 1], x2
-        for x1, x3 in reps_from_primes(1, 1 + (x2 & 1), stream[x2]):
+        leftover, factors = stream[x2]
+        products = gaussian_products((x2 - 1, x2 + 1), factors, leftover == 1)
+        assert products[0] == (x2 - 1, x2 + 1), x2
+        for k, (u, v) in enumerate(products):
+            x1, x3 = sorted((abs(u), abs(v)))
+            assert (x1 == x2 - 1) == (k == 0), (x2, k)
             x4 = as_perfect_square(2 * x3 * x3 - x2 * x2 + 2)
             if x1 == 0 or x4 is None:
-                assert x1 != x2 - 1, (x1, x2, x3)
+                assert k, (x1, x2, x3)
                 continue
             seq = (x1, x2, x3, x4)
-            assert is_trivial(seq) == (x1 == x2 - 1), seq
-            if x1 != x2 - 1:
-                expected.append(seq)
+            assert is_trivial(seq) == (k == 0), seq
+            if k:
+                expected.add(seq)
     assert enumerate_sequences(3000) == sorted(expected)
 
 
