@@ -813,14 +813,18 @@ def _chain_representatives() -> Tuple[TrivialInvolution, ...]:
     return tuple(reps)
 
 
-def _normalize(v: Tuple[int, ...]):
-    """normalize_point on a primitive vector: (g, g.on_vector(v)), or
-    None.  L > 0, so the signs and order of A..D are those of the point."""
-    norm = normalize_point(v[:4])
-    if norm is None:
-        return None
-    g, head = norm
-    return g, (*head, v[4])
+def _normalize(v: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
+    """The strictly increasing positive form of the primitive vector v, or
+    None when no trivial involution gives one.  L > 0, so the signs and
+    order of A..D are those of the point; normalize_point gives the
+    involution itself, which only a family hit needs."""
+    a, b, c, d, ell = v
+    a, b, c, d = abs(a), abs(b), abs(c), abs(d)
+    if 0 < a < b < c < d:
+        return (a, b, c, d, ell)
+    if a > b > c > d > 0:
+        return (d, c, b, a, ell)
+    return None
 
 
 def _base_of(w: Tuple[int, ...]) -> Optional[Tuple[TrivialInvolution, Classification]]:
@@ -832,14 +836,13 @@ def _base_of(w: Tuple[int, ...]) -> Optional[Tuple[TrivialInvolution, Classifica
     x = _vector_trivial(w)
     if x is not None:
         return IDENTITY, Classification("trivial", x=x)
-    norm = _normalize(w)
-    if norm is None:
+    wn = _normalize(w)
+    if wn is None:
         return None
-    inner, wn = norm
     hit = _match_family(wn)
     if hit is None:
         return None
-    return inner, hit
+    return normalize_point(w[:4])[0], hit
 
 
 def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
@@ -933,9 +936,7 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     where they are whole and Fractions elsewhere.
     """
     w = _surface_vector(seq)
-    norm = _normalize(w)
-    if norm is not None:
-        w = norm[1]
+    w = _normalize(w) or w
     chain = [w]
     h = _height(w)
     for _ in range(_MAX_CHAIN):
@@ -945,9 +946,7 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
             w = zeta_inv_vector(w)
         except ZeroDivisionError:
             break
-        norm = _normalize(w)
-        if norm is not None:
-            w = norm[1]
+        w = _normalize(w) or w
         chain.append(w)
         hw = _height(w)
         if not _lower(hw, h):

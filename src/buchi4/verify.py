@@ -2,13 +2,16 @@
 
 verify_group_relations() re-proves every claimed relation between the maps
 of maps.py, the phi relations as exact normal-form-zero checks in the
-quotient ring.  It reads phi off maps._phi_kernel, the compiled function
-that every descent step runs, and checks that function against the asset's
-polynomials, so the proofs hold of the code that runs and not only of the
-parsed asset.  verify_families() checks everything families.py loads or
-derives: the xi rows, their link to the degree-growing map, their closed
-form and symmetries, the base case of the level floors of the xi inversion,
-and every bundled family.  Each returns a RelationReport, one named pass or
+quotient ring.  The asset's polynomials p1, ..., p4, q are checked for the
+stated factorization, parity, the surface, both second differences and
+reversal; maps._phi_forms, the closed formula that every descent step runs
+(the second point of the surface on the plane of P's second differences),
+is proved equal to them on the surface and proved an involution, so the
+proofs hold of the code that runs and not only of the parsed asset.
+verify_families() checks everything families.py loads or derives: the xi
+rows, their link to the degree-growing map, their closed form and
+symmetries, the base case of the level floors of the xi inversion, and
+every bundled family.  Each returns a RelationReport, one named pass or
 fail per check.
 
 The checks live apart from the maps and the families, so that importing
@@ -35,7 +38,7 @@ from .maps import (
     MU,
     TAU,
     ZETA_TWIST,
-    _phi_kernel,
+    _phi_forms,
     apply_zeta,
     mu,
     pell_point,
@@ -81,13 +84,13 @@ class RelationReport:
 
 
 def verify_group_relations() -> RelationReport:
-    """The relations between the maps, with phi read off the compiled
-    kernel that every descent step runs: at (a, b, c, d, 1) its forms are
-    p1, ..., p4 and q themselves."""
+    """The relations between the maps: the asset's identities on its p_i
+    and q, and the runtime formula _phi_forms, read at (a, b, c, d, 1),
+    proved equal to them on the surface and proved an involution."""
     pm = phi_map()
-    kernel = _phi_kernel()
+    p, q = pm.p, pm.q
     a, b, c, d = (MPoly4.coordinate(i) for i in (1, 2, 3, 4))
-    *p, q = kernel(a, b, c, d, 1)
+    *g, g_den = _phi_forms(a, b, c, d, 1)
     entries: list[tuple[str, bool]] = []
 
     entries.append((
@@ -120,8 +123,21 @@ def verify_group_relations() -> RelationReport:
         and TAU.compose(mu(2, 3)) == mu(2, 3).compose(TAU),
     ))
     entries.append((
-        "compiled kernel is the asset's involution",
-        tuple(p) == pm.p and q == pm.q,
+        "runtime formula equals the asset's involution on the surface",
+        all(
+            (gi * q - pi * g_den).vanishes_on_surface()
+            for gi, pi in zip(g, p)
+        ),
+    ))
+    # the formula's denominator is T^2 (a - 2b + c), T = d - 3c + 3b - a
+    # the third difference: at T = 0 the two surface equations differ by
+    # 6 (a - 2b + c)(c - b), so past the guard T does not vanish on the
+    # surface
+    d_flat = a - 3 * b + 3 * c
+    entries.append((
+        "third difference vanishes on the surface only where (b - c)(a - 2b + c) does",
+        (b * b - 2 * c * c + d_flat * d_flat) - (a * a - 2 * b * b + c * c)
+        == 6 * (a - 2 * b + c) * (c - b),
     ))
     entries.append((
         "denominator factors as stated",
@@ -148,10 +164,10 @@ def verify_group_relations() -> RelationReport:
         "second alternating-sum identity",
         (p[1] - 2 * p[2] + p[3] - (b - 2 * c + d) * q).vanishes_on_surface(),
     ))
-    # phi(phi(x)) = x: the kernel at (p1, ..., p4, q) gives the forms
-    # N_i = q^h p_i(p / q) and Q = q^h q(p / q), and N_i = x_i Q must hold
-    # modulo the surface relations
-    *nums, den = kernel(*p, q)
+    # phi(phi(x)) = x: the formula at its own forms (G_1, ..., G_4, G_den)
+    # gives (N_1, ..., N_4, Q) with N_i / Q = phi(phi(x))_i, and
+    # N_i = x_i Q must hold modulo the surface relations
+    *nums, den = _phi_forms(*g, g_den)
     entries.append((
         "involution composed with itself is the identity",
         all(

@@ -18,6 +18,7 @@ from buchi4.families import (
     F_POLY,
     NonIntegral,
     classify,
+    descent_chain,
     extends_left,
     extends_right,
     p_eval,
@@ -31,8 +32,11 @@ from buchi4.families import (
     xi_poly,
 )
 from buchi4.maps import (
+    DenominatorVanishes,
+    apply_phi,
     apply_zeta,
     as_int_point,
+    on_surface,
     pell_point,
     zeta_orbit,
 )
@@ -198,6 +202,26 @@ def test_sieve_blocks_do_not_change_the_desk_rows(desk_pipeline, monkeypatch):
     monkeypatch.setattr(factorint, "_BLOCK", 7)
     rows = enumerate_sequences(30000)
     assert rows == [r.seq for r in desk_pipeline]
+
+
+def test_phi_is_the_second_point_of_the_plane_of_equal_second_differences(
+    desk_pipeline,
+):
+    # at every descent_chain node P of the desk rows where phi is defined,
+    # phi(P) keeps P's second differences, so phi(P) - P is an arithmetic
+    # progression, and phi(P) is on the surface: 423 of the 452 nodes
+    checked = 0
+    for r in desk_pipeline:
+        for pt in descent_chain(r.seq):
+            try:
+                image = apply_phi(pt)
+            except DenominatorVanishes:
+                continue
+            s1, s2, s3, s4 = (y - x for x, y in zip(pt, image))
+            assert s2 - s1 == s3 - s2 == s4 - s3, pt
+            assert on_surface(image), pt
+            checked += 1
+    assert checked == 423, checked
 
 
 def test_exact_reproduction_where_the_table_is_complete():

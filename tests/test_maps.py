@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from buchi4 import maps, verify
 from buchi4.families import r_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
-    _phi_kernel,
     IDENTITY,
     TAU,
     ZETA_TWIST,
@@ -29,9 +28,10 @@ from buchi4.maps import (
     phi_map,
     phi_vector,
     pell_point,
+    to_vector,
     zeta_orbit,
 )
-from buchi4.poly import RatFunc
+from buchi4.poly import T, RatFunc
 from buchi4.verify import verify_group_relations
 
 ORBIT = [
@@ -95,19 +95,20 @@ def test_relation_suite_passes():
     assert report.ok, report.failures()
 
 
-def test_relation_suite_proves_the_compiled_kernel(monkeypatch):
-    # a kernel whose first form gains B*C*L^2 is no longer an involution:
-    # the suite reads phi off the kernel, so its composition check fails too
-    kernel = _phi_kernel()
+def test_relation_suite_proves_the_runtime_formula(monkeypatch):
+    # a formula whose first numerator gains B*C*L^2 is neither the asset's
+    # involution nor an involution: the suite's proofs read phi off the
+    # formula (the numeric checks keep the real one, since the bumped map
+    # leaves the surface and phi_vector refuses points off it)
+    forms = maps._phi_forms
 
     def bumped(A, B, C, D, L):
-        first, *rest = kernel(A, B, C, D, L)
+        first, *rest = forms(A, B, C, D, L)
         return (first + B * C * L * L, *rest)
 
-    monkeypatch.setattr(maps, "_phi_kernel", lambda: bumped)
-    monkeypatch.setattr(verify, "_phi_kernel", lambda: bumped)
+    monkeypatch.setattr(verify, "_phi_forms", bumped)
     failures = verify_group_relations().failures()
-    assert "compiled kernel is the asset's involution" in failures
+    assert "runtime formula equals the asset's involution on the surface" in failures
     assert "involution composed with itself is the identity" in failures
 
 
@@ -176,32 +177,56 @@ def test_phi_integer_path_matches_polynomial_evaluation():
     assert checked > 100
 
 
-_BIG = st.integers(-(2**80), 2**80)
+_BIG = st.integers(-(2**40), 2**40)
 
 
-@given(st.tuples(_BIG, _BIG, _BIG, _BIG), st.integers(2, 2**80))
+@given(
+    st.integers(1, 15),
+    _BIG,
+    st.integers(1, 2**40),
+    involutions,
+    st.integers(0, 3),
+)
 @settings(max_examples=200, deadline=None)
-def test_phi_kernel_equals_polynomial_evaluation_on_big_vectors(head, ell):
-    # any primitive vector, on the surface or not: the kernel is the five
-    # polynomials of the asset homogenized to one degree h in L
-    if gcd(*head, ell) != 1:
+def test_phi_kernel_equals_polynomial_evaluation_on_big_vectors(i, num, den, g, k):
+    # big surface points zeta^k(g(r(i, num/den))): phi_vector equals the
+    # asset's p_i / q by MPoly4.evaluate exactly; the formula is phi only on
+    # the surface, so the point with D moved by 1 raises ValueError
+    try:
+        pt = g(r_value(i, Fraction(num, den)))
+        for _ in range(k):
+            pt = apply_zeta(pt)
+    except ZeroDivisionError:
         return
+    v = to_vector(pt)
+    # D^2 moves by 2D + 1, which is odd, so off is off the surface, and D
+    # does not enter the guard (b - c)(a - 2b + c)
+    off = (*v[:3], v[3] + 1, v[4])
     pm = phi_map()
-    polys = (*pm.p, pm.q)
-    h = max(f.total_degree() for f in polys)
-    pt = tuple(Fraction(x, ell) for x in head)
-    want = tuple(f.evaluate(pt) * ell**h for f in polys)
-    got = _phi_kernel()(*head, ell)
-    assert got == want
-    if want[4] == 0:
-        with pytest.raises(DenominatorVanishes):
-            phi_vector((*head, ell))
-    else:
-        *nums, den = phi_vector((*head, ell))
-        assert den > 0 and gcd(*nums, den) == 1
-        assert tuple(Fraction(n, den) for n in nums) == tuple(
-            Fraction(p, want[4]) for p in want[:4]
-        )
+    q = pm.q.evaluate(pt)
+    if q == 0:
+        for w in (v, off):
+            with pytest.raises(DenominatorVanishes):
+                phi_vector(w)
+        return
+    *nums, q_out = phi_vector(v)
+    assert q_out > 0 and gcd(*nums, q_out) == 1
+    assert tuple(Fraction(n, q_out) for n in nums) == tuple(
+        p.evaluate(pt) / q for p in pm.p
+    )
+    with pytest.raises(ValueError):
+        phi_vector(off)
+
+
+def test_phi_raises_off_the_surface():
+    # numeric and symbolic points with the last coordinate moved by 1
+    with pytest.raises(ValueError):
+        apply_phi((-4, 3, 2, 0))
+    x1, x2, x3, x4 = ZETA_TWIST(xi_poly(1))
+    with pytest.raises(ValueError):
+        apply_phi((x1, x2, x3, x4 + 1))
+    with pytest.raises(ValueError):
+        apply_phi((x1, x2, x3, RatFunc(x4 + 1, T)))
 
 
 def test_phi_matches_polynomial_evaluation_at_symbolic_points():
