@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, inf, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from . import assets
@@ -233,6 +233,8 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 def _family_value(index: int, t) -> Tuple[Fraction, ...]:
     """r(index) at t, or the quartic family for index 0: with t = a/b,
     n_j(t)/den(t) = N_j(a, b)/Den(a, b) for the forms of _forms."""
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"the argument must be an int or a Fraction, got {t!r}")
     *nums, den = (horner(cs, t.numerator, t.denominator) for cs in _forms(index))
     if den == 0:
         raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
@@ -284,6 +286,7 @@ def trivial_parameter(seq: Sequence) -> Optional[Fraction]:
     the answer is None without any squaring (see _vector_trivial, which
     this runs on to_vector(seq)).
     """
+    _check_length(seq)
     return _vector_trivial(to_vector(seq))
 
 
@@ -357,7 +360,32 @@ def _as_int_if_whole(v):
     return v.numerator if v.denominator == 1 else v
 
 
-_KINDS = frozenset(("trivial", "xi", "p", "r", "lift", "sporadic"))
+def _read_rational(s: str):
+    return _as_int_if_whole(parse_rational(s))
+
+
+def _read_integer(low: int, high: float):
+    def read(s: str) -> int:
+        value = int(s)
+        if not low <= value <= high:
+            raise ValueError(f"not an integer in {low}..{high}: {s!r}")
+        return value
+
+    return read
+
+
+# Each verdict kind but lift: the name describe prints, and its fields as
+# (field, label in describe, reader of the serialized field).  serialize
+# writes the fields with a reader after the kind, ":"-separated; the trivial
+# parameter has none and is left out, so parse gives a trivial verdict with
+# x None.  to_json keys each field by its own name.
+_VERDICTS = {
+    "trivial": ("Trivial", (("x", "x", None),)),
+    "xi": ("Xi", (("n", "n", _read_integer(1, inf)), ("t", "t", _read_integer(0, inf)))),
+    "p": ("P", (("t", "t", _read_rational),)),
+    "r": ("R", (("index", "i", _read_integer(1, 15)), ("t", "t", _read_rational))),
+    "sporadic": ("Sporadic", ()),
+}
 
 
 class Classification(Record):
@@ -386,7 +414,7 @@ class Classification(Record):
         lifts: int = 0,
         witness: Optional[tuple] = None,
     ):
-        if kind not in _KINDS:
+        if kind not in _VERDICTS and kind != "lift":
             raise ValueError(f"unknown classification kind {kind!r}")
         _set_kind(self, kind)
         _set_n(self, n)
@@ -400,30 +428,18 @@ class Classification(Record):
         _set_key(self, (kind, n, t, x, index, base, lifts))
 
     def describe(self) -> str:
-        if self.kind == "trivial":
-            return f"Trivial(x={self.x})"
-        if self.kind == "xi":
-            return f"Xi(n={self.n}, t={self.t})"
-        if self.kind == "p":
-            return f"P(t={self.t})"
-        if self.kind == "r":
-            return f"R(i={self.index}, t={format_rational(self.t)})"
         if self.kind == "lift":
             return f"ZetaLift(k={self.lifts}, base={self.base.describe()})"
-        return "Sporadic"
+        name, fields = _VERDICTS[self.kind]
+        shown = ", ".join(f"{label}={getattr(self, f)}" for f, label, _ in fields)
+        return f"{name}({shown})" if fields else name
 
     def serialize(self) -> str:
-        if self.kind == "trivial":
-            return "trivial"
-        if self.kind == "xi":
-            return f"xi:{self.n}:{format_rational(self.t)}"
-        if self.kind == "p":
-            return f"p:{format_rational(self.t)}"
-        if self.kind == "r":
-            return f"r:{self.index}:{format_rational(self.t)}"
         if self.kind == "lift":
             return f"zeta^{self.lifts}({self.base.serialize()})"
-        return "sporadic"
+        fields = _VERDICTS[self.kind][1]
+        values = (format_rational(getattr(self, f)) for f, _, read in fields if read)
+        return ":".join((self.kind, *values))
 
     @classmethod
     def parse(cls, text: str) -> "Classification":
@@ -433,58 +449,42 @@ class Classification(Record):
         can return parses: a lift has k >= 1 over a trivial, xi, p or r
         base, xi has n >= 1 and an integer t >= 0, and r an index in
         1..15; anything else raises ValueError."""
-        kind, _, rest = text.partition(":")
-        if text in ("trivial", "sporadic"):
-            got = cls(text)
-        elif text.startswith("zeta^"):
+        if text.startswith("zeta^"):
             head, _, inner = text.partition("(")
             lifts, base = int(head[5:]), cls.parse(inner[:-1])
             if lifts < 1 or base.kind in ("lift", "sporadic"):
                 raise ValueError(f"no lift serializes as {text!r}")
             got = cls("lift", base=base, lifts=lifts)
-        elif kind == "xi":
-            n_s, _, t_s = rest.partition(":")
-            n, t = int(n_s), parse_rational(t_s)
-            if n < 1 or t.denominator != 1 or t < 0:
-                raise ValueError(f"xi needs n >= 1 and an integer t >= 0: {text!r}")
-            got = cls("xi", n=n, t=t.numerator)
-        elif kind == "p":
-            got = cls("p", t=_as_int_if_whole(parse_rational(rest)))
-        elif kind == "r":
-            i_s, _, t_s = rest.partition(":")
-            index = int(i_s)
-            if index not in range(1, 16):
-                raise ValueError(f"rational family index must be 1..15: {text!r}")
-            got = cls("r", index=index, t=_as_int_if_whole(parse_rational(t_s)))
         else:
-            raise ValueError(f"unrecognized classification {text!r}")
+            kind, *parts = text.split(":")
+            if kind not in _VERDICTS:
+                raise ValueError(f"unrecognized classification {text!r}")
+            fields = [(f, read) for f, _, read in _VERDICTS[kind][1] if read]
+            if len(parts) != len(fields):
+                raise ValueError(f"{kind} takes {len(fields)} fields: {text!r}")
+            got = cls(kind, **{f: read(s) for (f, read), s in zip(fields, parts)})
         if got.serialize() != text:
             raise ValueError(f"{text!r} is not canonical: serialize writes {got.serialize()!r}")
         return got
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "trivial":
-            out["x"] = _json_number(self.x)
-        elif self.kind == "xi":
-            out["n"] = self.n
-            out["t"] = _json_number(self.t)
-        elif self.kind == "p":
-            out["t"] = _json_number(self.t)
-        elif self.kind == "r":
-            out["index"] = self.index
-            out["t"] = _json_number(self.t)
-        elif self.kind == "lift":
-            out["lifts"] = self.lifts
-            out["base"] = self.base.to_json()
-        return out
+        if self.kind == "lift":
+            return {"kind": "lift", "lifts": self.lifts, "base": self.base.to_json()}
+        fields = _VERDICTS[self.kind][1]
+        return {"kind": self.kind, **{f: _json_number(getattr(self, f)) for f, _, _ in fields}}
 
 
 (_set_kind, _set_n, _set_t, _set_x, _set_index, _set_base, _set_lifts,
  _set_witness, _set_key) = slot_setters(Classification)
 
 
+def _check_length(seq: Sequence) -> None:
+    if len(seq) != 4:
+        raise ValueError(f"a point has 4 coordinates, not {len(seq)}: {tuple(seq)}")
+
+
 def _exact_point(seq: Sequence) -> Tuple:
+    _check_length(seq)
     out = []
     for v in seq:
         if isinstance(v, int):
@@ -980,10 +980,19 @@ def classify(seq: Sequence) -> Classification:
 
 
 def verify_classification(seq: Sequence, cls: Classification) -> bool:
-    """Re-evaluate a verdict forward and compare with the sequence."""
+    """Re-evaluate a verdict forward and compare with the sequence.  Every
+    kind needs the point on the surface.  A trivial verdict without its
+    parameter, as parse returns it, needs the point trivial; a sporadic one
+    needs what classify needs of it, a non-trivial, strictly increasing and
+    positive point (that it lies in no family is not checked)."""
     pt = _exact_point(seq)
+    v = to_vector(pt)
+    if not vector_on_surface(v):
+        return False
     if cls.kind == "trivial":
         x = cls.x
+        if x is None:
+            return _vector_trivial(v) is not None
         return all(s * s == (x + i) * (x + i) for i, s in enumerate(pt, 1))
     if cls.kind == "xi":
         return xi_eval(cls.n, cls.t) == pt
@@ -992,5 +1001,5 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
     if cls.kind == "r":
         return r_value(cls.index, cls.t) == pt
     if cls.kind == "lift":
-        return cls.witness is not None and _tower_replays(to_vector(pt), cls)
-    return cls.kind == "sporadic"
+        return cls.witness is not None and _tower_replays(v, cls)
+    return is_increasing_positive(pt) and _vector_trivial(v) is None

@@ -86,16 +86,6 @@ class UPoly(RingElement):
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def const(cls, c: Scalar) -> "UPoly":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "UPoly":
-        return cls((0, 1))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -247,7 +237,7 @@ def _coerce(x) -> UPoly:
     return NotImplemented
 
 
-T = UPoly.variable()
+T = UPoly((0, 1))
 
 
 def horner(coeffs: Sequence, x, y=1):

@@ -58,20 +58,20 @@ def parse_terms(text: str, variables: str) -> Dict[Tuple[int, ...], int]:
     return terms
 
 
-def parse_coeffs(text: str, variable: str = "t") -> list[int]:
-    """Parse a univariate polynomial into its integer coefficients, constant
+def parse_coeffs(text: str) -> list[int]:
+    """Parse a polynomial in t into its integer coefficients, constant
     first, up to the degree ([] for zero)."""
-    terms = parse_terms(text, variable)
+    terms = parse_terms(text, "t")
     coeffs = [0] * (max(k[0] for k in terms) + 1 if terms else 0)
     for (e,), c in terms.items():
         coeffs[e] = c
     return coeffs
 
 
-def parse_upoly(text: str, variable: str = "t"):
+def parse_upoly(text: str):
     from .poly import UPoly
 
-    return UPoly(parse_coeffs(text, variable))
+    return UPoly(parse_coeffs(text))
 
 
 def _coeff_str(c) -> str:
@@ -104,6 +104,6 @@ def format_terms(terms: Dict[Tuple[int, ...], int], variables: str) -> str:
     return " ".join([head] + parts[1:])
 
 
-def format_upoly(p, variable: str = "t") -> str:
+def format_upoly(p) -> str:
     terms = {(k,): c for k, c in enumerate(p.coeffs) if c}
-    return format_terms(terms, variable)
+    return format_terms(terms, "t")

@@ -1,0 +1,50 @@
+"""The package's public names, and the errors malformed input raises at the
+API boundary."""
+
+from fractions import Fraction
+
+import pytest
+
+import buchi4
+from buchi4.families import classify, descent_chain, is_trivial, p_eval, p_value, r_value
+
+PUBLIC_NAMES = {
+    "as_perfect_square", "is_perfect_square", "isqrt",
+    "UPoly", "RatFunc", "QuadExt",
+    "on_surface", "apply_phi", "apply_zeta", "apply_zeta_inv", "zeta_orbit",
+    "pell", "normalize_point",
+    "xi_poly", "xi_eval", "xi_closed_form", "prop33_solve", "p_value",
+    "p_eval", "r_value", "r_eval", "is_trivial", "extends", "extends_left",
+    "extends_right", "Classification", "classify", "descent_chain",
+    "verify_group_relations", "verify_families",
+    "CurveSpec", "curve_rhs", "is_squarefree", "scan_integer_points",
+    "SearchRecord", "enumerate_sequences", "run_pipeline", "bundled_table",
+    "compare_with_table",
+    "__version__",
+}
+
+
+def test_the_package_exports_its_forty_public_names():
+    assert len(PUBLIC_NAMES) == 40
+    assert len(buchi4.__all__) == 40
+    assert set(buchi4.__all__) == PUBLIC_NAMES
+
+
+def test_a_point_of_the_wrong_length_is_named_in_the_error():
+    for call in (classify, is_trivial, descent_chain):
+        for pt in [(1, 2, 3), (), (1, 2, 3, 4, 5)]:
+            with pytest.raises(ValueError, match=r"\(1, 2, 3(, 4, 5)?\)|\(\)"):
+                call(pt)
+
+
+def test_a_family_argument_must_be_an_int_or_a_fraction():
+    for call, args in [
+        (r_value, (3, 0.5)),
+        (p_value, (0.5,)),
+        (p_eval, ("1",)),
+        (p_value, (None,)),
+    ]:
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            call(*args)
+    assert p_value(Fraction(1, 2)) == p_value(Fraction(2, 4))
+    assert r_value(3, True) == r_value(3, 1)

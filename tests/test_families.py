@@ -435,6 +435,26 @@ def test_classify_is_sound_on_every_kind():
         assert verify_classification(seq, cls), (seq, cls)
 
 
+def test_sporadic_and_parsed_trivial_verdicts_replay_only_where_classify_returns_them():
+    sporadic = Classification("sporadic")
+    assert verify_classification((59, 630, 889, 1088), sporadic)
+    assert not verify_classification((1, 2, 3, 5), sporadic)  # off the surface
+    assert not verify_classification((1, 2, 3, 4), sporadic)  # trivial
+    assert not verify_classification((-59, 630, 889, 1088), sporadic)
+    assert not verify_classification((1088, 889, 630, 59), sporadic)
+    for pt in [(), (1, 2), (1, 2, 3, 4, 5)]:
+        with pytest.raises(ValueError):
+            verify_classification(pt, sporadic)
+    # parse gives a trivial verdict without its parameter
+    trivial = Classification.parse("trivial")
+    assert verify_classification((1, 2, 3, 4), trivial)
+    assert verify_classification((9, 8, 7, -6), trivial)
+    assert not verify_classification((6, 23, 32, 39), trivial)
+    assert not verify_classification((1, 2, 3, 5), trivial)
+    # every kind needs the point on the surface
+    assert not verify_classification((1, 2, 3, 5), Classification("trivial", x=0))
+
+
 def test_involution_images_of_family_values_are_not_members():
     # R_4(-2) is the reversed negation of the first reference row; membership
     # is signed ordered equality, so the row itself stays Sporadic
@@ -461,6 +481,73 @@ def test_serialization_round_trips():
     assert parsed.kind == "trivial" and parsed.serialize() == "trivial"
 
 
+def test_each_kind_renders_as_pinned():
+    # describe, serialize, to_json and the verdict that parse reads back,
+    # literally, for one verdict of each kind
+    lift = classify(_lift_of(r_value(3, 7), 2))
+    r37 = Classification("r", t=7, index=3)
+    cases = [
+        (
+            Classification("trivial", x=Fraction(-7, 3)),
+            "Trivial(x=-7/3)",
+            "trivial",
+            {"kind": "trivial", "x": "-7/3"},
+            Classification("trivial"),
+        ),
+        (
+            Classification.parse("xi:2:5"),
+            "Xi(n=2, t=5)",
+            "xi:2:5",
+            {"kind": "xi", "n": 2, "t": 5},
+            Classification("xi", n=2, t=5),
+        ),
+        (
+            Classification.parse("p:-1/2"),
+            "P(t=-1/2)",
+            "p:-1/2",
+            {"kind": "p", "t": "-1/2"},
+            Classification("p", t=Fraction(-1, 2)),
+        ),
+        (
+            Classification.parse("r:15:-3/4"),
+            "R(i=15, t=-3/4)",
+            "r:15:-3/4",
+            {"kind": "r", "index": 15, "t": "-3/4"},
+            Classification("r", t=Fraction(-3, 4), index=15),
+        ),
+        (
+            Classification("sporadic"),
+            "Sporadic",
+            "sporadic",
+            {"kind": "sporadic"},
+            Classification("sporadic"),
+        ),
+        (
+            lift,
+            "ZetaLift(k=2, base=R(i=3, t=7))",
+            "zeta^2(r:3:7)",
+            {"kind": "lift", "lifts": 2, "base": {"kind": "r", "index": 3, "t": 7}},
+            Classification("lift", base=r37, lifts=2),
+        ),
+        (
+            Classification.parse("zeta^1(trivial)"),
+            "ZetaLift(k=1, base=Trivial(x=None))",
+            "zeta^1(trivial)",
+            {"kind": "lift", "lifts": 1, "base": {"kind": "trivial", "x": None}},
+            Classification("lift", base=Classification("trivial"), lifts=1),
+        ),
+    ]
+    for cls, described, text, as_json, parsed in cases:
+        assert cls.describe() == described
+        assert cls.serialize() == text
+        assert cls.to_json() == as_json
+        got = Classification.parse(text)
+        assert got == parsed and repr(got) == repr(parsed)
+        assert [type(got.n), type(got.t), type(got.x), type(got.index)] == [
+            type(parsed.n), type(parsed.t), type(parsed.x), type(parsed.index)
+        ]
+
+
 def test_parse_rejects_what_classify_never_returns():
     for text in [
         "zeta^0(xi:1:0)",
@@ -481,6 +568,17 @@ def test_parse_rejects_what_classify_never_returns():
         "zeta^01(xi:1:0)",
         "zeta^1(xi:1:0",
         " trivial",
+        # a field that is not a number, or too many or too few fields
+        "xi:1/2:0",
+        "r:1/2:3",
+        "xi:1:2:3",
+        "trivial:1",
+        "lift",
+        "sporadic:",
+        "p:",
+        "p:1:2",
+        "r:3",
+        "",
     ]:
         with pytest.raises(ValueError):
             Classification.parse(text)
