@@ -18,8 +18,9 @@ came from: trivial, one of the families above, a tower of degree-growing-map
 lifts over such a point, or sporadic (none of the preceding).  Descent drives
 the lift detection: the inverse map is "apply the involution, then tidy signs
 and order", so the classifier walks all involution-adjacent images of the
-point whose height strictly drops, re-testing the base families at every
-level.  Every non-sporadic verdict is re-verified by exact forward evaluation
+point whose projective height strictly drops, re-testing the base families
+at every level; that height is a positive integer, so every walk ends.
+Every non-sporadic verdict is re-verified by exact forward evaluation
 before it is returned.  Descent runs on integers: each chain node is the
 primitive vector (A, B, C, D, L) of maps.to_vector, and Fractions appear only
 at the boundary: the input, the points descent_chain returns, a witness's
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, inf, isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -104,12 +106,16 @@ F_POLY = parse_upoly("2t^2 + 10t + 10")
 def xi_eval(n: int, t) -> Tuple:
     """xi(n, t), by running the recurrence n steps from
     xi(-1, t) = f xi(0, t) - xi(1, t) = (t+4, -t-3, -t-2, t+1) and
-    xi(0, t) = (t+1, ..., t+4), so no polynomial is evaluated.  t is a
-    number, or the polynomial T for the symbolic rows of xi_poly."""
+    xi(0, t) = (t+1, ..., t+4), so no polynomial is evaluated.  t is an
+    int, a Fraction, or the polynomial T for the symbolic rows of
+    xi_poly."""
     if n < 0:
         raise ValueError("negative index")
-    if isinstance(t, Fraction) and t.denominator == 1:
-        t = t.numerator
+    if isinstance(t, Fraction):
+        if t.denominator == 1:
+            t = t.numerator
+    elif not isinstance(t, (int, UPoly)):
+        raise TypeError(f"the argument must be an int or a Fraction, got {t!r}")
     prev, cur = (t + 4, -t - 3, -t - 2, t + 1), (t + 1, t + 2, t + 3, t + 4)
     ft = 2 * t * t + 10 * t + 10
     for _ in range(n):
@@ -783,17 +789,10 @@ def _match_family(v: Tuple[int, ...]) -> Optional[Classification]:
     return hit or _invert_family(v)
 
 
-def _height(v: Tuple[int, ...]) -> Tuple[int, int]:
-    """max |w_i| of the point of v, as (max |A_i|, L); _lower compares."""
-    return max(map(abs, v[:4])), v[4]
-
-
-def _lower(h: Tuple[int, int], g: Tuple[int, int]) -> bool:
-    """Whether height h is strictly below height g, by cross-multiplying."""
-    return h[0] * g[1] < g[0] * h[1]
-
-
-_MAX_CHAIN = 200
+def _height(v: Tuple[int, ...]) -> int:
+    """The projective height max(|A|, |B|, |C|, |D|, L) of the primitive
+    vector v, a positive integer (L > 0)."""
+    return max(map(abs, v))
 
 
 @lru_cache(maxsize=1)
@@ -852,27 +851,27 @@ def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
     The map is deterministic once the outer involution is fixed, so the
     search is a bundle of straight chains, not a tree: for each coset
     representative eta, repeatedly peel one inverse map application off
-    eta(pt) while the height strictly decreases, testing the base families
-    at every chain node.  Towers sit inside orbits on which the map is
-    expansive, so their peeled heights do decrease monotonically.  Each
-    chain stops after _MAX_CHAIN = 200 steps even if the height is still
-    falling, and nothing reports that cut-off: a tower more than 200 steps
-    above its base is not found.
+    eta(pt) while the projective height H strictly decreases, testing the
+    base families at every chain node.  H(w) = max(|A|, |B|, |C|, |D|, L)
+    of the primitive vector is a positive integer that the trivial
+    involutions keep, so a chain takes at most H(pt) steps and every chain
+    ends, at the first node whose height does not fall or where phi is
+    undefined.  A tower is found when H falls at every step from eta(pt)
+    down to its base on some representative's chain.
 
     One direction suffices.  The twist Z of zeta = phi Z is an involution
     that commutes with -1 and tau, so zeta^-1 = Z zeta Z, and the forward
     chain from eta is Z applied to the inverse chain from the representative
     of Z eta: same heights, same normal forms, same bases.  Every node is a
-    primitive integer vector (zeta_inv_vector), heights compare by
-    cross-multiplication, and only a hit's base value is converted back to
-    int/Fraction coordinates for its witness.  Any hit is replayed forward
-    exactly before it is accepted.
+    primitive integer vector (zeta_inv_vector), and only a hit's base value
+    is converted back to int/Fraction coordinates for its witness.  Any hit
+    is replayed forward exactly before it is accepted.
     """
     h0 = _height(v)
     for eta in _chain_representatives():
         w = eta.on_vector(v)
         h = h0
-        for k in range(1, _MAX_CHAIN + 1):
+        for k in count(1):
             try:
                 w = zeta_inv_vector(w)
             except ZeroDivisionError:
@@ -889,7 +888,7 @@ def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
                 if _tower_replays(v, cls):
                     return cls
             hw = _height(w)
-            if not _lower(hw, h):
+            if hw >= h:
                 break
             h = hw
     return None
@@ -925,11 +924,11 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     """The plain peel-and-renormalize chain under the inverse map.
 
     Starting from the increasing-positive form of seq, apply the inverse
-    map and renormalize while the height strictly decreases, collecting
-    every point visited (the input's normalized form first).  The chain
-    stops at a trivial point, at a vanishing denominator, when the height
-    stops dropping, or after _MAX_CHAIN = 200 steps (201 points), the same
-    cap as in _descend, and the result does not say which stop it hit.
+    map and renormalize while the projective height strictly decreases,
+    collecting every point visited (the input's normalized form first).
+    The chain stops at a trivial point, at a vanishing denominator, or at
+    the first point whose height does not drop, which it includes; the
+    height is a positive integer, so there are at most H(seq) + 1 points.
     classify() chases the sign/order variants of this chain, this is the
     one-line diagnostic view.  The walk is the one _descend takes, on
     primitive integer vectors; each point comes back with int coordinates
@@ -939,9 +938,7 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     w = _normalize(w) or w
     chain = [w]
     h = _height(w)
-    for _ in range(_MAX_CHAIN):
-        if _vector_trivial(w) is not None:
-            break
+    while _vector_trivial(w) is None:
         try:
             w = zeta_inv_vector(w)
         except ZeroDivisionError:
@@ -949,7 +946,7 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
         w = _normalize(w) or w
         chain.append(w)
         hw = _height(w)
-        if not _lower(hw, h):
+        if hw >= h:
             break
         h = hw
     return [from_vector(w) for w in chain]

@@ -18,7 +18,6 @@ from buchi4.families import (
     F_POLY,
     NonIntegral,
     classify,
-    descent_chain,
     extends_left,
     extends_right,
     p_eval,
@@ -32,12 +31,13 @@ from buchi4.families import (
     xi_poly,
 )
 from buchi4.maps import (
-    DenominatorVanishes,
     apply_phi,
     apply_zeta,
     as_int_point,
+    from_vector,
     on_surface,
     pell_point,
+    to_vector,
     zeta_orbit,
 )
 from buchi4.poly import UPoly
@@ -180,11 +180,37 @@ def test_criterion_08_desk_scale_table_reproduction(desk_pipeline):
     assert _csv_digest(desk_pipeline).startswith(DESK_CSV_DIGEST)
 
 
-def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline, monkeypatch):
-    # No desk row is a lift, yet the mu2 chains of xi(1, t) run long there
-    # (192 steps at t = 22) and reach the 200-step cap from t = 23, past
-    # the desk bound.  Cut at 8 steps, every desk verdict is unchanged.
-    monkeypatch.setattr(families, "_MAX_CHAIN", 8)
+def _descend_chains(v):
+    """The nodes each coset representative's chain of _descend steps from,
+    one list per representative, walked one chain at a time from the
+    primitive vector v."""
+    chains = []
+    step = families.zeta_inv_vector
+
+    def recorded(w):
+        chains[-1].append(w)
+        return step(w)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(families, "zeta_inv_vector", recorded)
+        for eta in families._chain_representatives():
+            m.setattr(families, "_chain_representatives", lambda eta=eta: (eta,))
+            chains.append([])
+            families._descend(v)
+    return chains
+
+
+def test_desk_verdicts_do_not_need_long_descent_chains(desk_pipeline):
+    # A chain goes on only while the projective height, a positive integer,
+    # falls.  In the real size max|A_i|/L the mu2 chain of xi(1, t) fell for
+    # 192 steps at t = 22 and went on past 200 from t = 23 while L grew to
+    # thousands of bits; in the height each of the 8 chains is one step.
+    for t in (22, 23, 34):
+        chains = _descend_chains(to_vector(xi_eval(1, t)))
+        assert [len(c) for c in chains] == [1] * 8, t
+    assert max(
+        len(c) for r in desk_pipeline for c in _descend_chains(to_vector(r.seq))
+    ) == 3
     records = [
         SearchRecord(r.seq, classify(r.seq), r.extends_left, r.extends_right)
         for r in desk_pipeline
@@ -207,21 +233,21 @@ def test_sieve_blocks_do_not_change_the_desk_rows(desk_pipeline, monkeypatch):
 def test_phi_is_the_second_point_of_the_plane_of_equal_second_differences(
     desk_pipeline,
 ):
-    # at every descent_chain node P of the desk rows where phi is defined,
-    # phi(P) keeps P's second differences, so phi(P) - P is an arithmetic
-    # progression, and phi(P) is on the surface: 423 of the 452 nodes
+    # at every node P that a chain of _descend steps from, over all 8
+    # representatives' chains of the desk rows, phi(P) is defined and keeps
+    # P's second differences, so phi(P) - P is an arithmetic progression,
+    # and phi(P) is on the surface: 808 nodes
     checked = 0
     for r in desk_pipeline:
-        for pt in descent_chain(r.seq):
-            try:
+        for chain in _descend_chains(to_vector(r.seq)):
+            for w in chain:
+                pt = from_vector(w)
                 image = apply_phi(pt)
-            except DenominatorVanishes:
-                continue
-            s1, s2, s3, s4 = (y - x for x, y in zip(pt, image))
-            assert s2 - s1 == s3 - s2 == s4 - s3, pt
-            assert on_surface(image), pt
-            checked += 1
-    assert checked == 423, checked
+                s1, s2, s3, s4 = (y - x for x, y in zip(pt, image))
+                assert s2 - s1 == s3 - s2 == s4 - s3, pt
+                assert on_surface(image), pt
+                checked += 1
+    assert checked == 808, checked
 
 
 def test_exact_reproduction_where_the_table_is_complete():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import buchi4
-from buchi4.families import classify, descent_chain, is_trivial, p_eval, p_value, r_value
+from buchi4.families import (
+    classify, descent_chain, is_trivial, p_eval, p_value, r_value, xi_eval,
+)
 
 PUBLIC_NAMES = {
     "as_perfect_square", "is_perfect_square", "isqrt",
@@ -43,8 +45,12 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
         (p_value, (0.5,)),
         (p_eval, ("1",)),
         (p_value, (None,)),
+        (xi_eval, (1, 0.5)),
+        (xi_eval, (1, 2.0)),
     ]:
         with pytest.raises(TypeError, match="int or a Fraction"):
             call(*args)
     assert p_value(Fraction(1, 2)) == p_value(Fraction(2, 4))
     assert r_value(3, True) == r_value(3, 1)
+    assert xi_eval(1, Fraction(4, 2)) == xi_eval(1, 2) == (108, 157, 194, 225)
+    assert all(type(x) is int for x in xi_eval(1, Fraction(2)))

@@ -1,9 +1,10 @@
 """Parametrization families, structure checks, and classification."""
 
+import itertools
 import random
 from fractions import Fraction
 from importlib import resources
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from buchi4 import families
 from buchi4.families import (
-    _MAX_CHAIN,
     _SIEVE_PRIMES,
     Classification,
     _chain_representatives,
@@ -607,6 +607,25 @@ def test_descent_chain_stalls_on_sporadic_points():
     assert all(not is_trivial(pt) for pt in chain)
 
 
+@pytest.mark.parametrize(
+    "nums, den, verdict",
+    [
+        ((709, 1079, 1533, 2015), 512, "zeta^2(r:7:3)"),
+        ((98, 1723, 2644, 3475), 729, "zeta^3(xi:1:0)"),
+        ((147407, 195285, 777367, 1311571), 524288, "zeta^17(trivial)"),
+        # H rises on the first step of the chain that reaches the shorter
+        # tower zeta^2(trivial), so another chain finds this one first
+        ((1, 27, 185, 317), 128, "zeta^5(trivial)"),
+    ],
+)
+def test_lifts_found_by_descent_in_the_projective_height(nums, den, verdict):
+    # the first three are Sporadic when heights compare as max|A_i|/L
+    pt = tuple(Fraction(n, den) for n in nums)
+    cls = classify(pt)
+    assert cls.serialize() == verdict
+    assert verify_classification(pt, cls)
+
+
 def test_descent_chain_stops_where_phi_is_undefined():
     # on the surface and not trivial, but b = c leaves phi undefined, so
     # the chain is the point alone
@@ -999,7 +1018,10 @@ def _squaring_trivial(seq):
 
 
 def _fraction_height(pt):
-    return max(abs(Fraction(x)) for x in pt)
+    """The projective height max(|L x_1|, ..., |L x_4|, L) of a point, L
+    the lcm of its coordinates' denominators."""
+    ell = lcm(*(Fraction(x).denominator for x in pt))
+    return max(ell, *(abs(x * ell) for x in pt))
 
 
 def _fraction_base_of(w):
@@ -1031,11 +1053,11 @@ def _fraction_replays(pt, cls):
 
 def _fraction_descend(pt):
     """_descend as a walk on Fraction points, the way it ran before chain
-    nodes became integer vectors."""
+    nodes became integer vectors, with the height read off the Fractions."""
     for eta in _chain_representatives():
         w = eta(pt)
         h = _fraction_height(pt)
-        for k in range(1, _MAX_CHAIN + 1):
+        for k in itertools.count(1):
             try:
                 w = _fraction_exact(apply_zeta_inv(w))
             except ZeroDivisionError:
@@ -1062,9 +1084,7 @@ def _fraction_descent_chain(seq):
     w = norm[1] if norm is not None else pt
     chain = [w]
     h = _fraction_height(w)
-    for _ in range(_MAX_CHAIN):
-        if _squaring_trivial(w) is not None:
-            break
+    while _squaring_trivial(w) is None:
         try:
             w = _fraction_exact(apply_zeta_inv(w))
         except ZeroDivisionError:
