@@ -6,8 +6,9 @@ Families:
     xi(n+1) = f * xi(n) - xi(n-1), f = 2t^2 + 10t + 10, from
     xi(0, t) = (t+1, ..., t+4) and xi(-1, t) = (t+4, -t-3, -t-2, t+1), run
     by xi_eval on numbers and on the polynomial T alike, with a closed form
-    in the quadratic extension ring; the degree-growing map carries each
-    row to the next, which verify.verify_families checks;
+    on pairs u + v alpha of Z[t][alpha], alpha^2 = (t+1)(t+2)(t+3)(t+4);
+    the degree-growing map carries each row to the next, which
+    verify.verify_families checks;
   * a quartic family over Q with denominator 4, integral away from t = 3
     mod 4, plus its two integral restrictions (even arguments, arguments
     1 mod 4) and a never-integral variant with denominator 3;
@@ -54,7 +55,6 @@ from .maps import (
     zeta_vector,
 )
 from .poly import (
-    QuadExt,
     T,
     UPoly,
     gcd_mod,
@@ -132,8 +132,9 @@ def xi_poly(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
 # -- xi in closed form --------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def _closed_form_data() -> Tuple[Tuple[UPoly, ...], QuadExt]:
-    """(A_1, ..., A_4) and beta of xi_closed_form, built on its first call."""
+def _closed_form_data() -> Tuple[Tuple[UPoly, ...], UPoly, UPoly]:
+    """(A_1, ..., A_4), g = alpha^2 and the rational part b of
+    beta = b + alpha, for xi_closed_form; built on its first call."""
     closed_a = tuple(
         parse_upoly(s)
         for s in (
@@ -143,25 +144,32 @@ def _closed_form_data() -> Tuple[Tuple[UPoly, ...], QuadExt]:
             "t^3 + 9t^2 + 24t + 19",
         )
     )
-    return closed_a, QuadExt(parse_upoly("t^2 + 5t + 5"), 1)
+    return closed_a, (T + 1) * (T + 2) * (T + 3) * (T + 4), parse_upoly("t^2 + 5t + 5")
 
 
 def xi_closed_form(n: int) -> Tuple[UPoly, UPoly, UPoly, UPoly]:
-    """xi_i(n, t) as the alpha-component of (A_i + B_i alpha) beta^n in the
-    quadratic extension with alpha^2 = (t+1)(t+2)(t+3)(t+4), where
-    beta = t^2 + 5t + 5 + alpha is a unit (beta times its conjugate is 1)
-    and B_i = t + i.  The component must come out a polynomial."""
+    """xi_i(n, t) as the alpha-component of (A_i + (t+i) alpha) beta^n in
+    Z[t][alpha], alpha^2 = g = (t+1)(t+2)(t+3)(t+4), with
+    beta = t^2 + 5t + 5 + alpha.  beta is a unit of trace f (verify checks
+    both), so the powers stay in Z[t][alpha] and nothing is divided.  An
+    element u + v alpha is the pair (u, v), and beta^n comes from repeated
+    squaring, not from the recurrence, so this form checks xi_eval."""
     if n < 0:
         raise ValueError("negative index")
-    closed_a, beta = _closed_form_data()
-    bn = beta**n
-    out = []
-    for i in range(4):
-        x = QuadExt(closed_a[i], T + (i + 1)) * bn
-        if not x.v.is_polynomial():
-            raise ArithmeticError("closed form is not a polynomial")
-        out.append(x.v.as_upoly())
-    return tuple(out)
+    closed_a, g, b = _closed_form_data()
+
+    def mul(x, y):
+        (u1, v1), (u2, v2) = x, y
+        return u1 * u2 + v1 * v2 * g, u1 * v2 + u2 * v1
+
+    power, base = (1, 0), (b, 1)
+    while n:
+        if n & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        n >>= 1
+    u, v = power
+    return tuple(a * v + (T + i) * u for i, a in enumerate(closed_a, 1))
 
 
 def prop33_solve(alpha, u0, u1, u2, n: int, parity: str):
@@ -327,7 +335,9 @@ def _radicand(seq: Sequence, side: str):
     """2*s4^2 - s3^2 + 2 for the right side, 2*s1^2 - s2^2 + 2 for the
     left: the square of the fifth term that extends seq on that side.  The
     terms may lie in any ring, so at xi(n, t) this is the right-hand side
-    of the level-n extension curve."""
+    of the level-n extension curve.  A seq that is not of length 4 raises
+    the ValueError of classify."""
+    _check_length(seq)
     if side == "right":
         a, b = seq[3], seq[2]
     elif side == "left":
@@ -434,11 +444,14 @@ class Classification(Record):
         _set_key(self, (kind, n, t, x, index, base, lifts))
 
     def describe(self) -> str:
+        """The human rendering; a field that is None, such as the x of a
+        parsed trivial verdict, is left out."""
         if self.kind == "lift":
             return f"ZetaLift(k={self.lifts}, base={self.base.describe()})"
         name, fields = _VERDICTS[self.kind]
-        shown = ", ".join(f"{label}={getattr(self, f)}" for f, label, _ in fields)
-        return f"{name}({shown})" if fields else name
+        values = ((label, getattr(self, f)) for f, label, _ in fields)
+        shown = ", ".join(f"{label}={v}" for label, v in values if v is not None)
+        return f"{name}({shown})" if shown else name
 
     def serialize(self) -> str:
         if self.kind == "lift":

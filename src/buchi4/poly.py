@@ -1,13 +1,8 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 UPoly stores a dense coefficient tuple, lowest degree first, every entry a
-Fraction.  RatFunc is a reduced quotient of two UPoly with monic denominator.
-QuadExt adjoins a square root alpha of
-
-    g(t) = (t+1)(t+2)(t+3)(t+4)
-
-to the rational function field; it is the ring in which the closed form of the
-polynomial families lives.
+Fraction.  RatFunc is a reduced quotient of two UPoly with monic denominator;
+maps.apply_phi returns one at a symbolic point.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
@@ -32,11 +27,9 @@ from typing import Iterable, Optional, Sequence, Union
 __all__ = [
     "UPoly",
     "RatFunc",
-    "QuadExt",
     "NonExactDivision",
     "RingElement",
     "T",
-    "QUAD_MODULUS",
     "horner",
     "upoly_gcd",
     "int_poly_gcd",
@@ -52,9 +45,9 @@ class NonExactDivision(ArithmeticError):
 
 
 class RingElement:
-    """Subtraction and nonnegative powers, stated once for UPoly, RatFunc,
-    QuadExt and mpoly.MPoly4 from their +, unary - and *; the sum and
-    product of the subclass decide what a mixed operand coerces to."""
+    """Subtraction and nonnegative powers, stated once for UPoly, RatFunc
+    and mpoly.MPoly4 from their +, unary - and *; the sum and product of
+    the subclass decide what a mixed operand coerces to."""
 
     __slots__ = ()
 
@@ -200,7 +193,7 @@ class UPoly(RingElement):
         return UPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __call__(self, value):
-        """Horner evaluation; value may be a scalar, UPoly or QuadExt."""
+        """Horner evaluation; value may be a scalar or a UPoly."""
         if not self.coeffs:
             return Fraction(0)
         return horner(self.coeffs, value)
@@ -482,88 +475,3 @@ class RatFunc(RingElement):
         if self.is_polynomial():
             return f"RatFunc({format_upoly(self.num)})"
         return f"RatFunc(({format_upoly(self.num)}) / ({format_upoly(self.den)}))"
-
-
-# x^2 = QUAD_MODULUS defines the quadratic extension used by the closed forms.
-QUAD_MODULUS = (T + 1) * (T + 2) * (T + 3) * (T + 4)
-
-
-class QuadExt(RingElement):
-    """Element u + v*alpha of Q(t)[alpha], alpha^2 = (t+1)(t+2)(t+3)(t+4)."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v=0):
-        self.u = RatFunc.of(u)
-        self.v = RatFunc.of(v)
-
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v)
-
-    def __add__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(self.u + other.u, self.v + other.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.u, -self.v)
-
-    def __mul__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExt(
-            self.u * other.u + self.v * other.v * QUAD_MODULUS,
-            self.u * other.v + self.v * other.u,
-        )
-
-    __rmul__ = __mul__
-
-    def norm(self) -> RatFunc:
-        return self.u * self.u - self.v * self.v * QUAD_MODULUS
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n.num.is_zero():
-            raise ZeroDivisionError("element of norm zero has no inverse")
-        return QuadExt(self.u / n, -self.v / n)
-
-    def __truediv__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** -n
-        return super().__pow__(n)
-
-    def __eq__(self, other):
-        other = _quad(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.u == other.u and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.u, self.v))
-
-    def __repr__(self):
-        return f"QuadExt({self.u!r} + ({self.v!r})*alpha)"
-
-
-def _quad(x):
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, (int, Fraction, UPoly, RatFunc)):
-        return QuadExt(x)
-    return NotImplemented

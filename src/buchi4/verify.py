@@ -9,10 +9,10 @@ reversal; maps._phi_forms, the closed formula that every descent step runs
 is proved equal to them on the surface and proved an involution, so the
 proofs hold of the code that runs and not only of the parsed asset.
 verify_families() checks everything families.py loads or derives: the xi
-rows, their link to the degree-growing map, their closed form and
-symmetries, the base case of the level floors of the xi inversion, and
-every bundled family.  Each returns a RelationReport, one named pass or
-fail per check.
+rows, their link to the degree-growing map, their closed form and the unit
+beta it rests on, their symmetries, the base case of the level floors of
+the xi inversion, and every bundled family.  Each returns a
+RelationReport, one named pass or fail per check.
 
 The checks live apart from the maps and the families, so that importing
 those, as every classification does, does not compile them.
@@ -25,6 +25,7 @@ from typing import Tuple
 from .families import (
     _XI1_FLOORS,
     F_POLY,
+    _closed_form_data,
     _family_table,
     p_family,
     p_value,
@@ -291,6 +292,11 @@ def verify_families() -> RelationReport:
             all(p.degree == 2 * n + 1 for p in xi_poly(n))
             for n in range(n_hi + 1)
         ),
+    ))
+    _, g, b = _closed_form_data()
+    entries.append((
+        "beta = t^2 + 5t + 5 + alpha is a unit of trace f",
+        b * b - g == 1 and 2 * b == F_POLY,
     ))
     entries.append((
         "closed form matches the recurrence",

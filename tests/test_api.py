@@ -7,12 +7,13 @@ import pytest
 
 import buchi4
 from buchi4.families import (
-    classify, descent_chain, is_trivial, p_eval, p_value, r_value, xi_eval,
+    classify, descent_chain, extends_left, extends_right, is_trivial, p_eval,
+    p_value, r_value, xi_eval,
 )
 
 PUBLIC_NAMES = {
     "as_perfect_square", "is_perfect_square", "isqrt",
-    "UPoly", "RatFunc", "QuadExt",
+    "UPoly", "RatFunc",
     "on_surface", "apply_phi", "apply_zeta", "apply_zeta_inv", "zeta_orbit",
     "pell", "normalize_point",
     "xi_poly", "xi_eval", "xi_closed_form", "prop33_solve", "p_value",
@@ -26,14 +27,14 @@ PUBLIC_NAMES = {
 }
 
 
-def test_the_package_exports_its_forty_public_names():
-    assert len(PUBLIC_NAMES) == 40
-    assert len(buchi4.__all__) == 40
+def test_the_package_exports_its_39_public_names():
+    assert len(PUBLIC_NAMES) == 39
+    assert len(buchi4.__all__) == 39
     assert set(buchi4.__all__) == PUBLIC_NAMES
 
 
 def test_a_point_of_the_wrong_length_is_named_in_the_error():
-    for call in (classify, is_trivial, descent_chain):
+    for call in (classify, is_trivial, descent_chain, extends_left, extends_right):
         for pt in [(1, 2, 3), (), (1, 2, 3, 4, 5)]:
             with pytest.raises(ValueError, match=r"\(1, 2, 3(, 4, 5)?\)|\(\)"):
                 call(pt)

@@ -1,4 +1,5 @@
-"""Univariate layer: UPoly, rational functions, the quadratic extension."""
+"""Univariate layer: UPoly, rational functions, and the unit beta of the
+closed form."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -7,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buchi4.families import F_POLY, _closed_form_data
 from buchi4.poly import (
-    QUAD_MODULUS,
-    QuadExt,
     RatFunc,
     T,
     UPoly,
@@ -20,6 +20,7 @@ from buchi4.poly import (
 from buchi4.mpoly import MPoly4
 from buchi4 import polytext
 from buchi4.polytext import format_upoly, parse_terms, parse_upoly
+from buchi4.verify import verify_families
 
 small_polys = st.lists(
     st.integers(min_value=-50, max_value=50), min_size=0, max_size=6
@@ -190,9 +191,8 @@ def test_horner_as_a_homogeneous_form():
 
 
 def test_ring_element_zeroth_power_is_one():
-    for p in (T + 2, RatFunc(T, T + 1), QuadExt(T, 2), MPoly4.parse("a - 2c")):
+    for p in (T + 2, RatFunc(T, T + 1), MPoly4.parse("a - 2c")):
         assert p**0 == 1
-    assert QuadExt(T, 2) ** 0 == QuadExt(1)
     with pytest.raises(ValueError):
         (T + 1) ** -1
 
@@ -201,17 +201,7 @@ def test_ring_element_subtraction_from_both_sides():
     assert 1 - T == UPoly((1, -1))
     assert Fraction(1, 2) - RatFunc(1, T) == RatFunc(T - 2, 2 * T)
     assert RatFunc(1, T) - T == RatFunc(1 - T * T, T)
-    assert 3 - QuadExt(T, 2) == QuadExt(3 - T, -2)
-    assert T - QuadExt(T, 2) == QuadExt(0, -2)
     assert RatFunc(T, T + 1) ** 2 == RatFunc(T * T, (T + 1) ** 2)
-
-
-def test_quadext_negative_powers_are_powers_of_the_inverse():
-    for x in (QuadExt(T * T + 5 * T + 5, 1), QuadExt(T, 2), QuadExt(RatFunc(1, T), T)):
-        inv = x.inverse()
-        assert x**-1 == inv
-        assert x**-3 == inv * inv * inv
-        assert x**-2 * x**2 == QuadExt(1)
 
 
 def test_text_round_trip():
@@ -262,46 +252,33 @@ def test_ratfunc_field_ops():
     assert r - Fraction(1, 2) == RatFunc(T - 1, 2 * T + 2)
 
 
-def test_quad_modulus_shape():
-    assert QUAD_MODULUS == (T + 1) * (T + 2) * (T + 3) * (T + 4)
-    assert QUAD_MODULUS.degree == 4
-
-
 def test_beta_is_a_unit():
-    beta = QuadExt(T * T + 5 * T + 5, 1)
-    assert beta.norm() == 1
-    assert beta * beta.conj() == QuadExt(1)
-    assert beta.inverse() == beta.conj()
+    # beta = b + alpha, alpha^2 = g: norm b^2 - g is 1 and trace 2b is f,
+    # on the very g and b that xi_closed_form reads, and verify says so
+    _, g, b = _closed_form_data()
+    assert g == (T + 1) * (T + 2) * (T + 3) * (T + 4)
+    assert b * b - g == 1
+    assert 2 * b == F_POLY
+    entries = dict(verify_families().entries)
+    assert entries["beta = t^2 + 5t + 5 + alpha is a unit of trace f"] is True
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=13)
 def test_beta_powers_stay_units(n):
-    beta = QuadExt(T * T + 5 * T + 5, 1)
-    assert (beta**n * beta.conj() ** n) == QuadExt(1)
-
-
-def test_quadext_arithmetic():
-    alpha = QuadExt(0, 1)
-    assert alpha * alpha == QuadExt(QUAD_MODULUS)
-    x = QuadExt(T, 2)
-    assert x + x.conj() == QuadExt(2 * T)
-    assert (x - x.conj()).u == RatFunc.of(0)
-    assert x * x.inverse() == QuadExt(1)
+    # beta^n = u + v alpha as the pair (u, v); its conjugate's power is
+    # u - v alpha, so the norm u^2 - v^2 g of beta^n must be 1
+    _, g, b = _closed_form_data()
+    u, v = UPoly((1,)), UPoly(())
+    for _ in range(n):
+        u, v = u * b + v * g, u + v * b
+    assert u * u - v * v * g == 1
 
 
 def test_foreign_operands_raise_type_error():
     with pytest.raises(TypeError):
         RatFunc("t")
     with pytest.raises(TypeError):
-        QuadExt(T) / "x"
-    with pytest.raises(TypeError):
         divmod(T, "x")
     with pytest.raises(TypeError):
         T.exact_div("x")
-
-
-def test_ratfunc_over_quadext_is_a_quadext_quotient():
-    got = RatFunc(1, T) / QuadExt(T)
-    assert isinstance(got, QuadExt)
-    assert got == QuadExt(RatFunc(1, T * T))
