@@ -83,6 +83,8 @@ def _cmd_curve(args) -> int:
     from .curves import curve_rhs, is_squarefree, scan_csv
 
     spec = curve_rhs(args.n, args.side)
+    # scan first: a bad range is an error before anything reaches stdout
+    scan = [] if args.scan is None else scan_csv(spec, *args.scan)
     print(spec.display())
     if args.squarefree:
         squarefree = is_squarefree(spec)
@@ -90,10 +92,8 @@ def _cmd_curve(args) -> int:
         if squarefree:
             # y^2 = rhs(t), rhs squarefree of degree 4n + 2: hyperelliptic
             print("genus:", 2 * spec.n)
-    if args.scan is not None:
-        t_min, t_max = args.scan
-        for line in scan_csv(spec, t_min, t_max):
-            print(line)
+    for line in scan:
+        print(line)
     return 0
 
 

@@ -7,6 +7,18 @@ is the radicand of the extension tests in families, taken at the symbolic
 row xi(n, t), so a curve and the test it scans for cannot drift apart.  This
 module builds those right-hand sides exactly, certifies squarefreeness, and
 scans integer arguments for square values.
+
+The scan is a residue sieve, after the bit-parallel sieve of M. Stoll's
+ratpoints.  rhs has integer coefficients, so rhs(t) mod m depends only on
+t mod m: the first 64 values, evaluated exactly, give one m-bit pattern per
+modulus m <= 64 of the t whose value is a square mod m, and each later block
+of t ANDs those patterns into one mask, so that only the t left in it are
+evaluated.  All 16 curves of levels 1..8 take about 0.5 s over |t| <= 10^6
+and 7-10 s over |t| <= 2*10^7 on a 2-core machine with CPython 3.11 (0.47 s
+for level 5 alone over |t| <= 5*10^4 with every t evaluated).  Each such
+scan finds only t = -4..-1.  That range holds the box past which Runge's
+method leaves no integral point for n <= 5, but the bound is not derived
+here yet (ROADMAP item 17), so the scans are evidence, not proof.
 """
 
 from __future__ import annotations
@@ -102,31 +114,99 @@ def is_squarefree(curve) -> bool:
 # -- integer point scans ----------------------------------------------------
 
 
-def scan_integer_points(
-    curve: CurveSpec, t_min: int, t_max: int
-) -> List[Tuple[int, int]]:
-    """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
-    in t."""
-    if t_min > t_max:
-        raise ValueError("empty range")
-    hits = []
-    rev = curve.rhs.int_coeffs()[::-1]
-    for t in range(t_min, t_max + 1):
+# The sieve moduli: 64 = 2^6, 63 = 9 * 7, 55 = 5 * 11 and the primes 13..61,
+# each at most _HEAD, so that the head values hold a full period of each.
+_SIEVE_MODULI = (64, 63, 55, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_HEAD = 64
+# the rest of the range is sieved in blocks of this many t, so that each
+# mask, and each step over its set bits, stays small
+_BLOCK = 4096
+
+
+def _square_chars(m: int) -> List[str]:
+    """"1" at each residue r mod m that is a square mod m, "0" elsewhere."""
+    chars = ["0"] * m
+    for x in range(m):
+        chars[x * x % m] = "1"
+    return chars
+
+
+_SQUARE_CHARS = tuple(_square_chars(m) for m in _SIEVE_MODULI)
+
+
+def _horner_values(rev: List[int], ts: Iterable[int]) -> List[int]:
+    """rhs(t) for each t in ts; rev lists the coefficients leading first."""
+    values = []
+    for t in ts:
         # Horner inlined, not poly.horner: a call per t slows the scan by ~10%.
         acc = 0
         for c in rev:
             acc = acc * t + c
-        if acc < 0:
-            continue
-        y = as_perfect_square(acc)
-        if y is not None:
-            hits.append((t, y))
+        values.append(acc)
+    return values
+
+
+def _square_hits(ts: Iterable[int], values: List[int]) -> List[Tuple[int, int]]:
+    """(t, y) for each value that is a square y^2."""
+    return [
+        (t, y) for t, v in zip(ts, values) if (y := as_perfect_square(v)) is not None
+    ]
+
+
+def scan_integer_points(
+    curve: CurveSpec, t_min: int, t_max: int
+) -> List[Tuple[int, int]]:
+    """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
+    in t.
+
+    The first _HEAD values are evaluated exactly.  They give each sieve
+    modulus m a pattern whose bit k is set when rhs(t_min + k) mod m is a
+    square mod m, 0 included; it repeats with period m.  Past the head,
+    each block of _BLOCK arguments ANDs the patterns, tiled and shifted to
+    the block, into one mask, and only the t left in it are evaluated.
+    This is sound: a t is skipped only when rhs(t) is a non-square mod some
+    m, and then rhs(t) is not a square.  So the hits are those of
+    evaluating every t.
+    """
+    if t_min > t_max:
+        raise ValueError("empty range")
+    rev = curve.rhs.int_coeffs()[::-1]
+    head_ts = range(t_min, min(t_max, t_min + _HEAD - 1) + 1)
+    head = _horner_values(rev, head_ts)
+    hits = _square_hits(head_ts, head)
+    width = t_max - t_min + 1
+    if width <= _HEAD:
+        return hits
+    span = min(width - _HEAD, _BLOCK)
+    tiles = []
+    for m, chars in zip(_SIEVE_MODULI, _SQUARE_CHARS):
+        # bit k for t_min + k; tiled to cover a block at any shift below m
+        tile = int("".join([chars[v % m] for v in reversed(head[:m])]), 2)
+        bits = m
+        while bits < span + m:
+            tile |= tile << bits
+            bits *= 2
+        tiles.append((m, tile))
+    for start in range(_HEAD, width, _BLOCK):
+        mask = (1 << min(_BLOCK, width - start)) - 1
+        for m, tile in tiles:
+            mask &= tile >> (start % m)
+            if not mask:
+                break
+        base = t_min + start
+        ts = []
+        while mask:
+            low = mask & -mask
+            ts.append(base + low.bit_length() - 1)
+            mask ^= low
+        hits += _square_hits(ts, _horner_values(rev, ts))
     return hits
 
 
-def scan_csv(curve: CurveSpec, t_min: int, t_max: int) -> Iterable[str]:
-    """CSV lines t,y,trivial for every scan hit."""
-    yield "t,y,trivial"
-    for t, y in scan_integer_points(curve, t_min, t_max):
-        flag = "yes" if t in TRIVIAL_PARAMETERS else "no"
-        yield f"{t},{y},{flag}"
+def scan_csv(curve: CurveSpec, t_min: int, t_max: int) -> List[str]:
+    """CSV lines t,y,trivial for every scan hit.  The scan runs before the
+    header is made, so a bad range raises before any line exists."""
+    hits = scan_integer_points(curve, t_min, t_max)
+    return ["t,y,trivial"] + [
+        f"{t},{y},{'yes' if t in TRIVIAL_PARAMETERS else 'no'}" for t, y in hits
+    ]

@@ -104,6 +104,13 @@ def test_curve_output(capsys):
     assert out.splitlines()[1:] == ["squarefree: yes", "genus: 6"]
 
 
+def test_a_bad_scan_range_prints_nothing_to_stdout(capsys):
+    code, out, err = run(capsys, "curve", "--n", "1", "--side", "right", "--scan", "5", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: empty range\n"
+
+
 def test_table_modes(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
@@ -194,4 +201,4 @@ def test_readme_command_lines_parse(capsys):
             want = want[:-1]
             got = got[: len(want)]
         assert got == want, line
-    assert shown == 9
+    assert shown == 10

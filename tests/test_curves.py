@@ -1,8 +1,12 @@
 """Length-5 extension curves: shape, squarefreeness, integer-point scans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from buchi4.arith import as_perfect_square
 from buchi4.curves import (
+    _BLOCK,
     _CERT_PRIME,
     TRIVIAL_PARAMETERS,
     CurveSpec,
@@ -115,11 +119,79 @@ def test_scan_agrees_with_extension_tests():
                 assert hits.get(t) == extends(xi_eval(n, t), side)
 
 
+ALL_CURVES = [curve_rhs(n, side) for n in range(1, 9) for side in ("right", "left")]
+
+
+def plain_scan(curve, t_min, t_max):
+    """The scan without a sieve: Horner and a square test at every t."""
+    rev = curve.coefficients()[::-1]
+    hits = []
+    for t in range(t_min, t_max + 1):
+        acc = 0
+        for c in rev:
+            acc = acc * t + c
+        y = as_perfect_square(acc)
+        if y is not None:
+            hits.append((t, y))
+    return hits
+
+
+@pytest.mark.parametrize(
+    "width",
+    [1, 63, 64, 65, 160, _BLOCK + 63, _BLOCK + 64, _BLOCK + 65, 3 * _BLOCK + 70],
+)
+def test_the_sieve_finds_what_the_plain_scan_finds(width):
+    # the head, the first block and block ends, at negative, zero and
+    # positive offsets; t_min = -5000 puts t = -4..-1 inside the sieved
+    # part of the widest ranges
+    for t_min in (-5000, 0, 777):
+        for curve in ALL_CURVES:
+            want = plain_scan(curve, t_min, t_min + width - 1)
+            got = scan_integer_points(curve, t_min, t_min + width - 1)
+            assert got == want, (curve.n, curve.side, t_min, width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.sampled_from(("right", "left")),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 3 * _BLOCK + 64),
+)
+def test_the_sieve_equals_the_plain_scan(n, side, t_min, width):
+    curve = curve_rhs(n, side)
+    t_max = t_min + width - 1
+    assert scan_integer_points(curve, t_min, t_max) == plain_scan(curve, t_min, t_max)
+
+
+def test_the_sieve_drops_no_square():
+    # rhs = ((t - 3)(2t^2 + 1))^2 is a square at every t, and 0 at t = 3: a
+    # modulus whose pattern missed the residue 0 or any class of squares
+    # would lose a hit here
+    root = (T - 3) * (2 * T * T + 1)
+    curve = CurveSpec("right", 1, root * root)
+    assert curve.rhs.degree == 6 and curve.rhs.lc() == 4
+    hits = scan_integer_points(curve, -5000, 5000)
+    assert hits == [(t, abs(root(t))) for t in range(-5000, 5001)]
+    assert (3, 0) in hits
+
+
+def test_every_curve_has_only_the_trivial_points_up_to_a_million():
+    # n = 1..8 on both sides over |t| <= 10^6: only t = -4..-1, where the
+    # extension of the trivial xi(n, t) is y
+    for curve in ALL_CURVES:
+        hits = scan_integer_points(curve, -(10**6), 10**6)
+        want = [(t, extends(xi_eval(curve.n, t), curve.side)) for t in TRIVIAL_PARAMETERS]
+        assert hits == want, (curve.n, curve.side, hits)
+
+
 def test_scan_csv_format():
     lines = list(scan_csv(curve_rhs(1, "right"), -4, -1))
     assert lines[0] == "t,y,trivial"
     assert lines[1] == "-4,2,yes"
     assert lines[-1] == "-1,7,yes"
+    with pytest.raises(ValueError, match="empty range"):
+        scan_csv(curve_rhs(1, "right"), 5, 1)
 
 
 def test_display_round_trip():
