@@ -58,6 +58,8 @@ class CurveSpec(Record):
             raise ValueError(f"degree {rhs.degree}, expected {4 * n + 2}")
         if rhs.lc() <= 0:
             raise ValueError("leading coefficient must be positive")
+        if not rhs.is_integral():
+            raise ValueError("right-hand side must have integer coefficients")
         _set_side(self, side)
         _set_n(self, n)
         _set_rhs(self, rhs)
@@ -106,7 +108,7 @@ def is_squarefree(curve) -> bool:
     d = rhs.derivative()
     if rhs.is_integral():
         ints, dints = rhs.int_coeffs(), d.int_coeffs()
-        if gcd_mod((ints, dints), _CERT_PRIME) == [1]:
+        if gcd_mod(ints, dints, _CERT_PRIME) == [1]:
             return True
     return upoly_gcd(rhs, d).degree == 0
 

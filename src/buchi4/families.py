@@ -59,7 +59,6 @@ from .poly import (
     UPoly,
     gcd_mod,
     horner,
-    int_poly_gcd,
     rational_reconstruction,
     upoly_gcd,
 )
@@ -298,10 +297,10 @@ def trivial_parameter(seq: Sequence) -> Optional[Fraction]:
     Sign-insensitive, and exact over rationals as well as integers; integer
     results come back as int.  Unless |s2| - |s1| = +-1 or |s1| + |s2| = 1
     the answer is None without any squaring (see _vector_trivial, which
-    this runs on to_vector(seq)).
+    this runs on to_vector(seq)).  Other than int or Fraction coordinates
+    raise the TypeError of classify.
     """
-    _check_length(seq)
-    return _vector_trivial(to_vector(seq))
+    return _vector_trivial(to_vector(_exact_point(seq)))
 
 
 def _vector_trivial(v: Tuple[int, ...]) -> Optional[Fraction]:
@@ -536,7 +535,7 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
         roots, g = [Fraction(0)], g[1:]
     dg = [k * c for k, c in enumerate(g)][1:]
     p = 3
-    while gcd_mod((g, dg), p) != [1]:  # None when p divides lc(g)
+    while gcd_mod(g, dg, p) != [1]:  # None when p divides lc(g)
         p += 2
         while any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
             p += 2
@@ -595,7 +594,7 @@ def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
 
 
 # Descent prime: a one-word modulus keeps the modular certificate cheap, and
-# a leading coefficient it divides only sends the case to the exact gcd.
+# a leading coefficient it divides only sends the case to the exact roots.
 _DESCENT_PRIME = 2**31 - 1
 
 
@@ -700,42 +699,28 @@ def _constraints(forms, v) -> list[list[int]]:
     return constraints
 
 
-def _exact_parameters(constraints) -> list[Fraction]:
-    """The rational common roots of nonzero integer constraints, or a
-    superset of them, exactly: the rational roots (_rational_roots) of
-    their primitive gcd (int_poly_gcd).  The gcd folds in one constraint at
-    a time and stops once its degree is at most one, since a linear gcd's
-    root is then the only candidate and a constant leaves none."""
-    g = constraints[0]
-    for c in constraints[1:]:
-        if len(g) <= 2:
-            break
-        g = int_poly_gcd(g, c)
-    return _rational_roots(UPoly(g))
-
-
 def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
     """The t at which family index (0 the quartic family, else r(index))
     takes the point of the primitive vector v, or None.  Membership is
     exact equality of signed tuples: a family value whose involution image
     is the point does not count, matching the bundled table's convention.
 
-    The constraints (_constraints) are built once.  Their gcd mod
-    _DESCENT_PRIME is taken until it has degree at most one (gcd_mod).
-    Since the first constraint's leading coefficient survives mod p, the
-    exact primitive gcd has at most that degree.  Degree 0 proves that
-    there is no candidate.  Degree 1 has one root r mod p; rebuilt as a/b
-    with |a|, b <= sqrt(p/2) and confirmed by the exact _family_has, that
-    t is a common root of the constraints, so the exact gcd has degree one
-    with root t, and t is the only candidate.  Every other outcome (p
-    divides the leading coefficient, the gcd mod p has degree two or more,
-    the root has no fraction within the bound or the confirmation fails)
-    runs the exact gcd on the same constraints and lifts its roots p-adically
-    (_exact_parameters), and _family_has decides each candidate."""
+    A member t is a common rational root of the constraints (_constraints),
+    so a root of the gcd of the first two, c0 and c1; a lone constraint is
+    its own gcd.  That gcd is taken once mod _DESCENT_PRIME (gcd_mod), and
+    since lc(c0) survives mod p, the exact gcd has at most its degree.
+    Degree 0 proves that there is no member.  Degree 1 has one root r mod
+    p: rebuilt as a/b with |a|, b <= sqrt(p/2) and confirmed by _family_has
+    on all four coordinates, t is the only member.  Every other outcome (p
+    divides lc(c0), degree two or more, no fraction within the bound, a
+    failed confirmation) takes the rational roots of c0 (_rational_roots),
+    which hold every member, and returns the least that _family_has
+    accepts."""
     constraints = _constraints(_forms(index), v)
     if not constraints:
         return None
-    g = gcd_mod(constraints, _DESCENT_PRIME, until=1)
+    c0, *rest = constraints
+    g = gcd_mod(c0, rest[0] if rest else [], _DESCENT_PRIME)
     if g is not None:
         if len(g) == 1:
             return None
@@ -744,7 +729,7 @@ def _family_parameter(index: int, v: Tuple[int, ...]) -> Optional[Fraction]:
             if t is not None and _family_has(index, t, v):
                 return t
     return next(
-        (t for t in _exact_parameters(constraints) if _family_has(index, t, v)), None
+        (t for t in _rational_roots(UPoly(c0)) if _family_has(index, t, v)), None
     )
 
 
@@ -773,12 +758,9 @@ def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
     of all five forms, and a family with such a root is loose at ell: that
     prime never rejects it.
 
-    A family the sieve keeps is settled from the gcd of its constraints
-    mod _DESCENT_PRIME: a constant proves that there is no candidate, and
-    a degree-one gcd gives its root as a fraction of small height, which
-    one exact _family_has test confirms as the only candidate.  The exact
-    gcd runs, on the same constraints, only on what that cannot settle
-    (see _family_parameter).
+    A family the sieve keeps is solved by _family_parameter: from the gcd
+    of its first two constraints mod _DESCENT_PRIME where that settles it,
+    else from the rational roots of the first constraint.
     """
     mask = _sieve_mask(v, _family_sieve())
     for i in range(16):

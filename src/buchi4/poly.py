@@ -7,10 +7,10 @@ maps.apply_phi returns one at a symbolic point.
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
 Its integer core also serves integer coefficient lists directly.  gcd_mod is
-the one modular Euclid: a constant gcd mod p certifies a constant gcd over
-the rationals, so callers can skip the exact gcd, and
-rational_reconstruction turns a residue mod any m >= 2, such as the root
-of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.
+the one modular Euclid, of two integer polynomials: a constant gcd mod p
+certifies a constant gcd over the rationals, so callers can skip the exact
+gcd, and rational_reconstruction turns a residue mod any m >= 2, such as the
+root of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.
 
 horner is the one evaluator of coefficient sequences, UPoly coefficients
 and plain integer lists alike, at x or as a homogeneous form at (x, y).
@@ -312,37 +312,29 @@ def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
     return UPoly(int_poly_gcd(f.primitive_int()[0], g.primitive_int()[0])).monic()
 
 
-def gcd_mod(
-    polys: Sequence[Sequence[int]], p: int, until: int = 0
-) -> Optional[list[int]]:
-    """The monic gcd modulo the prime p of integer polynomials (coefficient
-    lists, lowest degree first), as residues in [0, p); None when p divides
-    the leading coefficient of the first one, which makes p unusable.
-
-    The remainder sequence folds in one polynomial at a time and stops
-    early, before the next one, once the gcd has degree at most until: the
-    gcd of all of them divides what it has then.
+def gcd_mod(f: Sequence[int], g: Sequence[int], p: int) -> Optional[list[int]]:
+    """The monic gcd modulo the prime p of two integer polynomials
+    (coefficient lists, lowest degree first), as residues in [0, p); None
+    when p divides the leading coefficient of f, which makes p unusable.
+    g may be zero (empty): f alone is its own gcd.
 
     Brown's modular gcd argument bounds the exact gcd by this one: the
-    primitive integer gcd divides the first polynomial, so by Gauss's lemma
-    its leading coefficient survives reduction mod p, and its reduction, of
-    the same degree, divides every reduced polynomial.  So the exact gcd
-    has at most the degree returned, and a constant here certifies a
-    constant gcd over the rationals.
+    primitive integer gcd divides f, so by Gauss's lemma its leading
+    coefficient survives reduction mod p, and its reduction, of the same
+    degree, divides f and g mod p.  So the exact gcd has at most the
+    degree returned, and a constant here certifies a constant gcd over the
+    rationals.
     """
-    g = [c % p for c in polys[0]]
-    if g[-1] == 0:
+    a = [c % p for c in f]
+    if a[-1] == 0:
         return None
-    for h in polys[1:]:
-        if len(g) - 1 <= until:
-            break
-        h = [c % p for c in h]
-        while h and h[-1] == 0:
-            h.pop()
-        while h:
-            g, h = h, _rem_mod(g, h, p)
-    inv = pow(g[-1], -1, p)
-    return [c * inv % p for c in g]
+    b = [c % p for c in g]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 def rational_reconstruction(r: int, m: int) -> Optional[Fraction]:

@@ -7,8 +7,9 @@ import pytest
 
 import buchi4
 from buchi4.families import (
-    classify, descent_chain, extends_left, extends_right, is_trivial, p_eval,
-    p_value, r_value, xi_eval,
+    Classification, classify, descent_chain, extends_left, extends_right,
+    is_trivial, p_eval, p_value, r_value, trivial_parameter,
+    verify_classification, xi_eval,
 )
 
 PUBLIC_NAMES = {
@@ -38,6 +39,20 @@ def test_a_point_of_the_wrong_length_is_named_in_the_error():
         for pt in [(1, 2, 3), (), (1, 2, 3, 4, 5)]:
             with pytest.raises(ValueError, match=r"\(1, 2, 3(, 4, 5)?\)|\(\)"):
                 call(pt)
+
+
+def test_every_point_entry_checks_that_coordinates_are_exact():
+    verdict = Classification.parse("trivial")
+    for call in (
+        classify, descent_chain, is_trivial, trivial_parameter,
+        lambda pt: verify_classification(pt, verdict),
+    ):
+        for pt in [(1.0, 2, 3, 4), (1, 2, 3, "4"), (0.5, 1.5, 2.5, 3.5)]:
+            with pytest.raises(TypeError, match="exact integers or rationals"):
+                call(pt)
+    assert trivial_parameter((Fraction(2), 3, 4, 5)) == 1
+    half = Fraction(1, 2)
+    assert trivial_parameter((half, 3 * half, 5 * half, 7 * half)) == -half
 
 
 def test_a_family_argument_must_be_an_int_or_a_fraction():

@@ -1,5 +1,7 @@
 """Length-5 extension curves: shape, squarefreeness, integer-point scans."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,7 +90,7 @@ def test_every_curve_is_certified_squarefree_by_the_modular_gcd():
             curve = curve_rhs(n, side)
             ints = curve.coefficients()
             dints = curve.rhs.derivative().int_coeffs()
-            assert gcd_mod((ints, dints), _CERT_PRIME) == [1]
+            assert gcd_mod(ints, dints, _CERT_PRIME) == [1]
             assert is_squarefree(curve)
 
 
@@ -206,3 +208,9 @@ def test_curvespec_validation():
         CurveSpec(side="right", n=1, rhs=T + 1)  # degree must be 4n + 2
     with pytest.raises(ValueError):
         CurveSpec(side="diagonal", n=1, rhs=curve_rhs(1, "right").rhs)
+    # coefficients() promises integers, so a rational one fails here, not
+    # at the first scan; is_squarefree still takes a rational UPoly
+    rational = UPoly((1, 0, 0, 0, 0, 0, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="integer coefficients"):
+        CurveSpec("right", 1, rational)
+    assert is_squarefree(rational)

@@ -17,7 +17,6 @@ from buchi4.families import (
     _chain_representatives,
     _constraints,
     _descend,
-    _exact_parameters,
     _family_has,
     _family_parameter,
     _family_sieve,
@@ -57,6 +56,7 @@ from buchi4.maps import (
     apply_zeta,
     apply_zeta_inv,
     as_int_point,
+    from_vector,
     group_elements,
     normalize_point,
     on_surface,
@@ -721,9 +721,9 @@ def test_parameter_candidates_find_members_at_integer_and_rational_t():
                 value = _family_value(index, t)
             except DenominatorVanishes:
                 continue
-            got = _exact_parameters(_constraints(_forms(index), to_vector(value)))
-            assert Fraction(t) in got, (index, t, got)
-            assert got == _reference_candidates(*_family(index), value)
+            got = _family_parameter(index, to_vector(value))
+            assert got == _reference_parameter(index, value), (index, t, got)
+            assert got == t, (index, t, got)
 
 
 def _table_points_and_lifts():
@@ -739,11 +739,16 @@ def _table_points_and_lifts():
     return rows, points
 
 
-def _exact_parameter(index, v):
-    """_family_parameter by the exact path alone: int_poly_gcd candidates,
-    the first one that _family_has accepts."""
-    candidates = _exact_parameters(_constraints(_forms(index), v))
-    return next((t for t in candidates if _family_has(index, t, v)), None)
+def _reference_parameter(index, pt):
+    """_family_parameter by the Fraction path: the first of the
+    _reference_candidates at which the family's value is pt."""
+    def member(t):
+        try:
+            return _family_value(index, t) == pt
+        except DenominatorVanishes:
+            return False
+
+    return next(filter(member, _reference_candidates(*_family(index), pt)), None)
 
 
 def _count_calls(monkeypatch, name):
@@ -762,20 +767,21 @@ def _count_calls(monkeypatch, name):
 def test_modular_route_equals_the_exact_path_on_chain_nodes(monkeypatch):
     rows, _ = _table_points_and_lifts()
     nodes = {
-        to_vector(w) for pt in rows + _bench_lifts() for w in descent_chain(pt)
+        to_vector(w): w for pt in rows + _bench_lifts() for w in descent_chain(pt)
     }
     for index in FAMILY_INDICES:
         for t in (-2, 1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)):
             try:
-                nodes.add(to_vector(_family_value(index, t)))
+                w = _family_value(index, t)
             except DenominatorVanishes:
-                pass
+                continue
+            nodes[to_vector(w)] = w
     want = {
-        (index, v): _exact_parameter(index, v)
-        for v in nodes for index in FAMILY_INDICES
+        (index, v): _reference_parameter(index, w)
+        for v, w in nodes.items() for index in FAMILY_INDICES
     }
     assert sum(t is not None for t in want.values()) >= 90
-    calls = _count_calls(monkeypatch, "_exact_parameters")
+    calls = _count_calls(monkeypatch, "_rational_roots")
     built = _count_calls(monkeypatch, "_constraints")
     modular = _count_calls(monkeypatch, "gcd_mod")
     for (index, v), t in want.items():
@@ -783,18 +789,21 @@ def test_modular_route_equals_the_exact_path_on_chain_nodes(monkeypatch):
             log.clear()
         assert _family_parameter(index, v) == t, (index, v)
         # a hit at a parameter within the bound is settled mod p: its
-        # degree-one gcd is rebuilt and confirmed
-        assert t is None or not calls, (index, v)
+        # degree-one gcd is rebuilt and confirmed.  Trivial points, which
+        # classify and the descent never test for membership, are exempt:
+        # three of them have a second root shared by their first two
+        # constraints and take the exact route
+        assert t is None or not calls or is_trivial(from_vector(v)), (index, v)
         # one pass: the constraints are built and reduced mod p at most
         # once, and the exact fallback reuses them (its root finder calls
-        # gcd_mod on the gcd and its derivative at small primes, not on the
-        # constraints at p)
-        reduced = [args for args in modular if args[1] == CERT_PRIME]
+        # gcd_mod on a squarefree part and its derivative at small primes,
+        # not on the constraints at p)
+        reduced = [args for args in modular if args[2] == CERT_PRIME]
         assert len(built) <= 1 and len(reduced) <= 1, (index, v)
 
 
 def test_members_beyond_the_reconstruction_bound_take_the_exact_path(monkeypatch):
-    calls = _count_calls(monkeypatch, "_exact_parameters")
+    calls = _count_calls(monkeypatch, "_rational_roots")
     checked = 0
     for index in FAMILY_INDICES:
         for t in BEYOND_RECONSTRUCTION:
@@ -807,7 +816,7 @@ def test_members_beyond_the_reconstruction_bound_take_the_exact_path(monkeypatch
                 assert cls.serialize() == (f"r:{index}:{t}" if index else f"p:{t}")
                 assert verify_classification(value, cls)
                 checked += 1
-        # a parameter within the bound never reaches the exact gcd
+        # a parameter within the bound never reaches the exact roots
         calls.clear()
         assert _family_parameter(index, to_vector(_family_value(index, 32767))) == 32767
         assert not calls
@@ -818,11 +827,9 @@ def test_parameter_candidates_match_the_fraction_path_off_the_families():
     rows, points = _table_points_and_lifts()
     assert len(rows) == 57 and len(points) > 2 * len(rows)
     for index in FAMILY_INDICES:
-        forms = _forms(index)
-        ref_den, ref_nums = _family(index)
         for pt in points:
-            got = _exact_parameters(_constraints(forms, to_vector(pt)))
-            assert got == _reference_candidates(ref_den, ref_nums, pt), (index, pt)
+            got = _family_parameter(index, to_vector(pt))
+            assert got == _reference_parameter(index, pt), (index, pt)
 
 
 def _int_product(*factors):
@@ -831,15 +838,18 @@ def _int_product(*factors):
     return prod((UPoly(f) for f in factors), start=UPoly((1,))).int_coeffs()
 
 
-def test_exact_parameters_of_a_gcd_of_degree_two():
-    # (t - 1)(2t + 3) is the gcd: both of its roots come back
+def test_rational_roots_of_a_constraint_cover_a_gcd_of_degree_two():
+    # (t - 1)(2t + 3) is the gcd of two constraints: the first one's roots
+    # hold both of its roots, and the root -5 of the other factor
     shared = _int_product((-1, 1), (3, 2))
-    constraints = [_int_product(shared, (5, 1)), _int_product(shared, (7, 0, 1))]
-    assert _exact_parameters(constraints) == [Fraction(-3, 2), Fraction(1)]
-    # t^2 - 2 is the gcd: no rational root, no candidate
+    first, second = _int_product(shared, (5, 1)), _int_product(shared, (7, 0, 1))
+    assert len(gcd_mod(first, second, CERT_PRIME)) == 3
+    assert _rational_roots(UPoly(first)) == [-5, Fraction(-3, 2), 1]
+    # t^2 - 2 is the gcd: no rational root but the other factor's
     shared = (-2, 0, 1)
-    constraints = [_int_product(shared, (1, 1)), _int_product(shared, (4, 3))]
-    assert _exact_parameters(constraints) == []
+    first, second = _int_product(shared, (1, 1)), _int_product(shared, (4, 3))
+    assert len(gcd_mod(first, second, CERT_PRIME)) == 3
+    assert _rational_roots(UPoly(first)) == [-1]
 
 
 # t^2 + c with c > 0 and t^2 - 2 have no rational root, but they have roots
@@ -922,18 +932,16 @@ def test_sieve_never_rejects_a_family_value(index, a, b, scale):
 
 def _reference_invert_family(pt, mask=-1):
     """The family match without the sieve: every family (in mask) goes
-    through the exact path, and membership is checked in Fractions."""
+    through the Fraction path (_reference_parameter)."""
     for index in FAMILY_INDICES:
         if not mask >> index & 1:
             continue
-        forms = _forms(index)
-        den = forms[4]
-        for t in _exact_parameters(_constraints(forms, to_vector(pt))):
-            if horner(den, t) and _family_value(index, t) == pt:
-                t = t.numerator if t.denominator == 1 else t
-                if index:
-                    return Classification("r", index=index, t=t)
-                return Classification("p", t=t)
+        t = _reference_parameter(index, pt)
+        if t is not None:
+            t = t.numerator if t.denominator == 1 else t
+            if index:
+                return Classification("r", index=index, t=t)
+            return Classification("p", t=t)
     return None
 
 
@@ -981,21 +989,43 @@ def test_gcd_certificate_helper():
     # coefficient lists, constant term first
     f = [2, 3, 1]  # (t + 1)(t + 2)
     for p in (CERT_PRIME, 2305843009213693951):
-        assert gcd_mod([f, [3, 1]], p) == [1]
-        assert len(gcd_mod([f, [5, 6, 1]], p)) >= 2  # (t+1)(t+5)
-        assert gcd_mod([f, [6, 5, 1], [3, 4, 1]], p) == [1]
-        assert gcd_mod([[7]], p) == [1]
+        assert gcd_mod(f, [3, 1], p) == [1]
+        assert len(gcd_mod(f, [5, 6, 1], p)) >= 2  # (t+1)(t+5)
+        assert gcd_mod(f, [6, 5, 1], p) == [2, 1]  # (t+2)(t+3)
+        assert gcd_mod([7], [3, 1], p) == [1]
+        assert gcd_mod([7], [], p) == [1]
     # 7 divides the leading coefficient of the first polynomial only
-    assert gcd_mod([[1, 0, 7], [1, 1]], 7) is None
-    assert gcd_mod([[1, 1], [1, 0, 7]], 7) == [1]
+    assert gcd_mod([1, 0, 7], [1, 1], 7) is None
+    assert gcd_mod([1, 1], [1, 0, 7], 7) == [1]
     # a common factor modulo p alone: t + 1 and t + 8 agree mod 7
-    assert len(gcd_mod([[1, 1], [8, 1]], 7)) >= 2
-    # the monic gcd itself, and a stop once the degree is at most until
-    assert gcd_mod([f, [24, 11, 1]], 7) == [1, 1]  # t + 8 = t + 1 mod 7
-    assert gcd_mod([[4, 6, 2], [24, 11, 1]], CERT_PRIME) == [1]
-    assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME) == [1]
-    assert gcd_mod([f, [5, 6, 1], [3, 1]], CERT_PRIME, until=1) == [1, 1]
-    assert gcd_mod([[-2, 0, 2]], CERT_PRIME) == [CERT_PRIME - 1, 0, 1]
+    assert len(gcd_mod([1, 1], [8, 1], 7)) >= 2
+    # the monic gcd itself, and a zero second polynomial leaves the first
+    assert gcd_mod(f, [24, 11, 1], 7) == [1, 1]  # t + 8 = t + 1 mod 7
+    assert gcd_mod([4, 6, 2], [24, 11, 1], CERT_PRIME) == [1]
+    assert gcd_mod([-2, 0, 2], [], CERT_PRIME) == [CERT_PRIME - 1, 0, 1]
+    assert gcd_mod([-2, 0, 2], [0, 7 * CERT_PRIME], CERT_PRIME) == [CERT_PRIME - 1, 0, 1]
+
+
+# a hand-built family of cubic forms (n1, n2, n3, n4, den), constant first,
+# with n1(t) - n1(2) = (t - 2)(t + 1), n2(t) - n2(2) = (t - 2)(t + 1)(t - 5)
+# and n3(t) - n3(2) = t - 2: the point F(2) = (3, 1, 2, 4) has two common
+# roots of its first two constraints, and only t = 2 is a member
+SHARED_ROOT_FORMS = ((1, -1, 1, 0), (11, 3, -6, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
+
+
+def test_the_exact_fallback_keeps_only_members(monkeypatch):
+    monkeypatch.setattr(families, "_forms", lambda index: SHARED_ROOT_FORMS)
+    v = (3, 1, 2, 4, 1)
+    c0, c1, *_ = _constraints(SHARED_ROOT_FORMS, v)
+    # the gcd mod p is (t - 2)(t + 1): reconstruction cannot pick a root
+    assert gcd_mod(c0, c1, CERT_PRIME) == [CERT_PRIME - 2, CERT_PRIME - 1, 1]
+    assert _rational_roots(UPoly(c0)) == [-1, 2]
+    assert not _family_has(0, Fraction(-1), v)
+    calls = _count_calls(monkeypatch, "_rational_roots")
+    assert _family_parameter(0, v) == 2
+    assert calls
+    # off the family, with the same shared pair of roots: no member
+    assert _family_parameter(0, (3, 1, 2, 5, 1)) is None
 
 
 # -- integer descent against the Fraction walk it replaced -------------------
