@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # curves, the search nor the self-checks does not load them.
 _EXPORTS = {
     "arith": ("as_perfect_square", "is_perfect_square", "isqrt"),
-    "poly": ("UPoly", "RatFunc"),
+    "poly": ("UPoly",),
     "maps": (
         "on_surface", "apply_phi", "apply_zeta", "apply_zeta_inv", "zeta_orbit",
         "pell", "normalize_point",

@@ -46,6 +46,7 @@ from .maps import (
     TAU,
     DenominatorVanishes,
     TrivialInvolution,
+    check_length,
     from_vector,
     group_elements,
     normalize_point,
@@ -336,7 +337,7 @@ def _radicand(seq: Sequence, side: str):
     terms may lie in any ring, so at xi(n, t) this is the right-hand side
     of the level-n extension curve.  A seq that is not of length 4 raises
     the ValueError of classify."""
-    _check_length(seq)
+    check_length(seq)
     if side == "right":
         a, b = seq[3], seq[2]
     elif side == "left":
@@ -496,13 +497,8 @@ class Classification(Record):
  _set_witness, _set_key) = slot_setters(Classification)
 
 
-def _check_length(seq: Sequence) -> None:
-    if len(seq) != 4:
-        raise ValueError(f"a point has 4 coordinates, not {len(seq)}: {tuple(seq)}")
-
-
 def _exact_point(seq: Sequence) -> Tuple:
-    _check_length(seq)
+    check_length(seq)
     out = []
     for v in seq:
         if isinstance(v, int):

@@ -1,20 +1,19 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 UPoly stores a dense coefficient tuple, lowest degree first, every entry a
-Fraction.  RatFunc is a reduced quotient of two UPoly with monic denominator;
-maps.apply_phi returns one at a symbolic point.
+Fraction.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
-Its integer core also serves integer coefficient lists directly.  gcd_mod is
-the one modular Euclid, of two integer polynomials: a constant gcd mod p
-certifies a constant gcd over the rationals, so callers can skip the exact
-gcd, and rational_reconstruction turns a residue mod any m >= 2, such as the
-root of a degree-one gcd mod p or a root lifted mod p^k, into a fraction.
+gcd_mod is the one modular Euclid, of two integer polynomials: a constant gcd
+mod p certifies a constant gcd over the rationals, so callers can skip the
+exact gcd, and rational_reconstruction turns a residue mod any m >= 2, such
+as the root of a degree-one gcd mod p or a root lifted mod p^k, into a
+fraction.
 
 horner is the one evaluator of coefficient sequences, UPoly coefficients
 and plain integer lists alike, at x or as a homogeneous form at (x, y).
-RingElement states subtraction and powers once for every ring here and for
+RingElement states subtraction and powers once for UPoly and for
 mpoly.MPoly4.
 """
 
@@ -26,13 +25,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "UPoly",
-    "RatFunc",
     "NonExactDivision",
     "RingElement",
     "T",
     "horner",
     "upoly_gcd",
-    "int_poly_gcd",
     "gcd_mod",
     "rational_reconstruction",
 ]
@@ -45,9 +42,9 @@ class NonExactDivision(ArithmeticError):
 
 
 class RingElement:
-    """Subtraction and nonnegative powers, stated once for UPoly, RatFunc
-    and mpoly.MPoly4 from their +, unary - and *; the sum and product of
-    the subclass decide what a mixed operand coerces to."""
+    """Subtraction and nonnegative powers, stated once for UPoly and
+    mpoly.MPoly4 from their +, unary - and *; the sum and product of the
+    subclass decide what a mixed operand coerces to."""
 
     __slots__ = ()
 
@@ -268,11 +265,24 @@ def _int_prem(f: list[int], g: list[int]) -> list[int]:
     return rem
 
 
-def int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd, with positive leading coefficient, of two nonzero
-    integer coefficient lists (lowest degree first), via the subresultant
-    pseudo-remainder sequence."""
-    F, G = _primitive(f), _primitive(g)
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, leading coefficient made positive."""
+    content = int_gcd(*f)
+    if f[-1] < 0:
+        content = -content
+    return f if content == 1 else [c // content for c in f]
+
+
+def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
+    """Monic gcd via the subresultant pseudo-remainder sequence on the
+    primitive integer parts of f and g."""
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    F, G = f.primitive_int()[0], g.primitive_int()[0]
     if len(F) < len(G):
         F, G = G, F
     gk = 1
@@ -283,33 +293,14 @@ def int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
         if not rem:
             break
         if len(rem) == 1:
-            return [1]
+            return UPoly((1,))
         divisor = gk * hk**delta
         assert all(c % divisor == 0 for c in rem)
         rem = [c // divisor for c in rem]
         F, G = G, rem
         gk = F[-1]
         hk = gk**delta // hk ** (delta - 1) if delta else hk
-    return _primitive(G)
-
-
-def _primitive(f: list[int]) -> list[int]:
-    """f divided by its content, leading coefficient made positive."""
-    content = int_gcd(*f)
-    if f[-1] < 0:
-        content = -content
-    return f if content == 1 else [c // content for c in f]
-
-
-def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:
-    """Monic gcd via the subresultant pseudo-remainder sequence."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    return UPoly(int_poly_gcd(f.primitive_int()[0], g.primitive_int()[0])).monic()
+    return UPoly(G).monic()
 
 
 def gcd_mod(f: Sequence[int], g: Sequence[int], p: int) -> Optional[list[int]]:
@@ -370,100 +361,3 @@ def _rem_mod(f: list[int], g: list[int], p: int) -> list[int]:
         while f and f[-1] == 0:
             f.pop()
     return f
-
-
-# -- rational functions -----------------------------------------------------
-
-
-class RatFunc(RingElement):
-    """Reduced quotient num/den of polynomials, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _coerce(num)
-        den = UPoly((1,)) if den is None else _coerce(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("a rational function takes rationals and polynomials")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero():
-            den = UPoly((1,))
-        elif den.degree > 0:
-            common = upoly_gcd(num, den)
-            if common.degree > 0:
-                num = num.exact_div(common)
-                den = den.exact_div(common)
-        lb = den.lc()
-        if lb != 1:
-            num = num * (1 / lb)
-            den = den * (1 / lb)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, x) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        return cls(x)
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
-    def as_upoly(self) -> UPoly:
-        if not self.is_polynomial():
-            raise NonExactDivision("rational function is not a polynomial")
-        return self.num
-
-    def __add__(self, other):
-        other = RatFunc.of(other) if isinstance(other, (int, Fraction, UPoly, RatFunc)) else None
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, UPoly, RatFunc)):
-            return NotImplemented
-        other = RatFunc.of(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, UPoly, RatFunc)):
-            return NotImplemented
-        other = RatFunc.of(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.of(other) / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, UPoly)):
-            other = RatFunc.of(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __call__(self, value: Scalar) -> Fraction:
-        d = self.den(value)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num(value) / d
-
-    def __repr__(self):
-        from .polytext import format_upoly
-
-        if self.is_polynomial():
-            return f"RatFunc({format_upoly(self.num)})"
-        return f"RatFunc(({format_upoly(self.num)}) / ({format_upoly(self.den)}))"

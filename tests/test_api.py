@@ -11,10 +11,11 @@ from buchi4.families import (
     is_trivial, p_eval, p_value, r_value, trivial_parameter,
     verify_classification, xi_eval,
 )
+from buchi4.maps import apply_phi, on_surface
 
 PUBLIC_NAMES = {
     "as_perfect_square", "is_perfect_square", "isqrt",
-    "UPoly", "RatFunc",
+    "UPoly",
     "on_surface", "apply_phi", "apply_zeta", "apply_zeta_inv", "zeta_orbit",
     "pell", "normalize_point",
     "xi_poly", "xi_eval", "xi_closed_form", "prop33_solve", "p_value",
@@ -28,14 +29,17 @@ PUBLIC_NAMES = {
 }
 
 
-def test_the_package_exports_its_39_public_names():
-    assert len(PUBLIC_NAMES) == 39
-    assert len(buchi4.__all__) == 39
+def test_the_package_exports_its_38_public_names():
+    assert len(PUBLIC_NAMES) == 38
+    assert len(buchi4.__all__) == 38
     assert set(buchi4.__all__) == PUBLIC_NAMES
 
 
 def test_a_point_of_the_wrong_length_is_named_in_the_error():
-    for call in (classify, is_trivial, descent_chain, extends_left, extends_right):
+    for call in (
+        classify, is_trivial, descent_chain, extends_left, extends_right,
+        on_surface, apply_phi,
+    ):
         for pt in [(1, 2, 3), (), (1, 2, 3, 4, 5)]:
             with pytest.raises(ValueError, match=r"\(1, 2, 3(, 4, 5)?\)|\(\)"):
                 call(pt)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buchi4 import maps, verify
-from buchi4.families import r_family, r_value, xi_eval, xi_poly
+from buchi4.families import p_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
     IDENTITY,
     TAU,
@@ -31,7 +31,7 @@ from buchi4.maps import (
     to_vector,
     zeta_orbit,
 )
-from buchi4.poly import T, RatFunc
+from buchi4.poly import NonExactDivision, UPoly
 from buchi4.verify import verify_group_relations
 
 ORBIT = [
@@ -145,16 +145,13 @@ def test_phi_undefined_on_the_degenerate_locus():
 
 
 def _phi_by_evaluate(pt):
-    """phi by MPoly4.evaluate and one division per coordinate, in Fraction
-    at numbers and in RatFunc at symbolic points: the reference for the
-    monomial table apply_phi evaluates."""
+    """phi by MPoly4.evaluate and one Fraction division per coordinate: the
+    reference for the formula apply_phi evaluates."""
     pm = phi_map()
-    numeric = all(isinstance(x, (int, Fraction)) for x in pt)
-    ring = Fraction if numeric else RatFunc.of
-    den = ring(pm.q.evaluate(pt))
+    den = Fraction(pm.q.evaluate(pt))
     if den == 0:
         raise DenominatorVanishes
-    return tuple(ring(p.evaluate(pt)) / den for p in pm.p)
+    return tuple(p.evaluate(pt) / den for p in pm.p)
 
 
 def test_phi_integer_path_matches_polynomial_evaluation():
@@ -219,25 +216,32 @@ def test_phi_kernel_equals_polynomial_evaluation_on_big_vectors(i, num, den, g, 
 
 
 def test_phi_raises_off_the_surface():
-    # numeric and symbolic points with the last coordinate moved by 1
+    # numeric and polynomial points with the last coordinate moved by 1
     with pytest.raises(ValueError):
         apply_phi((-4, 3, 2, 0))
     x1, x2, x3, x4 = ZETA_TWIST(xi_poly(1))
     with pytest.raises(ValueError):
         apply_phi((x1, x2, x3, x4 + 1))
-    with pytest.raises(ValueError):
-        apply_phi((x1, x2, x3, RatFunc(x4 + 1, T)))
 
 
 def test_phi_matches_polynomial_evaluation_at_symbolic_points():
-    # rational-function coordinates (r(3)) and polynomial ones (Z(xi(n)))
-    den, nums = r_family(3)
-    symbolic = [tuple(RatFunc(n, den) for n in nums)]
-    symbolic += [ZETA_TWIST(xi_poly(n)) for n in range(3)]
-    for pt in symbolic:
+    # at Z(xi(n)) each image coordinate times the asset's q is its p_i
+    pm = phi_map()
+    for n in range(3):
+        pt = ZETA_TWIST(xi_poly(n))
         got = apply_phi(pt)
-        assert all(isinstance(v, RatFunc) for v in got)
-        assert got == _phi_by_evaluate(pt)
+        q = pm.q.evaluate(pt)
+        assert all(isinstance(v, UPoly) for v in got) and not q.is_zero()
+        assert all(g * q == p.evaluate(pt) for g, p in zip(got, pm.p))
+    # the quartic families' images are not polynomial
+    for name in ("quartic-even", "quartic-odd"):
+        _, nums = p_family(name)
+        with pytest.raises(NonExactDivision):
+            apply_phi(nums)
+    x1, x2, x3, _ = ZETA_TWIST(xi_poly(1))
+    for pt in [(x1, x2, x3, 0.5), (1.0, 2, 3, 4)]:
+        with pytest.raises(TypeError):
+            apply_phi(pt)
 
 
 @given(points)

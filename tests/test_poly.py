@@ -1,5 +1,5 @@
-"""Univariate layer: UPoly, rational functions, and the unit beta of the
-closed form."""
+"""Univariate layer: UPoly, its gcds, and the unit beta of the closed
+form."""
 
 from fractions import Fraction
 from math import gcd, isqrt
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from buchi4.families import F_POLY, _closed_form_data
 from buchi4.poly import (
-    RatFunc,
     T,
     UPoly,
     horner,
@@ -191,7 +190,7 @@ def test_horner_as_a_homogeneous_form():
 
 
 def test_ring_element_zeroth_power_is_one():
-    for p in (T + 2, RatFunc(T, T + 1), MPoly4.parse("a - 2c")):
+    for p in (T + 2, MPoly4.parse("a - 2c")):
         assert p**0 == 1
     with pytest.raises(ValueError):
         (T + 1) ** -1
@@ -199,9 +198,8 @@ def test_ring_element_zeroth_power_is_one():
 
 def test_ring_element_subtraction_from_both_sides():
     assert 1 - T == UPoly((1, -1))
-    assert Fraction(1, 2) - RatFunc(1, T) == RatFunc(T - 2, 2 * T)
-    assert RatFunc(1, T) - T == RatFunc(1 - T * T, T)
-    assert RatFunc(T, T + 1) ** 2 == RatFunc(T * T, (T + 1) ** 2)
+    assert Fraction(1, 2) - T == UPoly((Fraction(1, 2), -1))
+    assert T - Fraction(1, 2) == UPoly((Fraction(-1, 2), 1))
 
 
 def test_text_round_trip():
@@ -233,25 +231,6 @@ def test_format_parse_round_trip(p):
     assert parse_upoly(format_upoly(p)) == p
 
 
-def test_ratfunc_is_canonical():
-    r = RatFunc((T + 1) * (T + 2), (T + 2) * (T + 3))
-    assert r == RatFunc(T + 1, T + 3)
-    assert r.den.lc() == 1  # denominator kept monic
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(T, UPoly(()))
-
-
-def test_ratfunc_field_ops():
-    r = RatFunc(T, T + 1)
-    s = RatFunc(1, T + 1)
-    assert r + s == 1
-    assert r / r == 1
-    assert (r * (T + 1)).is_polynomial()
-    assert (r * (T + 1)).as_upoly() == T
-    assert r(1) == Fraction(1, 2)
-    assert r - Fraction(1, 2) == RatFunc(T - 1, 2 * T + 2)
-
-
 def test_beta_is_a_unit():
     # beta = b + alpha, alpha^2 = g: norm b^2 - g is 1 and trace 2b is f,
     # on the very g and b that xi_closed_form reads, and verify says so
@@ -277,7 +256,7 @@ def test_beta_powers_stay_units(n):
 
 def test_foreign_operands_raise_type_error():
     with pytest.raises(TypeError):
-        RatFunc("t")
+        T + "x"
     with pytest.raises(TypeError):
         divmod(T, "x")
     with pytest.raises(TypeError):

@@ -125,6 +125,8 @@ def test_unknown_kind_is_rejected():
         ((1, 1, 1, 1), 1),
         ((1, 1, 1), False),
         ((1, 1, 1, 1, 1), True),
+        ([1, 1, 1, 1], False),
+        ((1, [1], 1, 1), False),
     ],
 )
 def test_trivial_involution_rejects_what_is_no_group_element(signs, rev):
