@@ -10,15 +10,17 @@ scans integer arguments for square values.
 
 The scan is a residue sieve, after the bit-parallel sieve of M. Stoll's
 ratpoints.  rhs has integer coefficients, so rhs(t) mod m depends only on
-t mod m: the first 64 values, evaluated exactly, give one m-bit pattern per
-modulus m <= 64 of the t whose value is a square mod m, and each later block
-of t ANDs those patterns into one mask, so that only the t left in it are
-evaluated.  All 16 curves of levels 1..8 take about 0.5 s over |t| <= 10^6
-and 7-10 s over |t| <= 2*10^7 on a 2-core machine with CPython 3.11 (0.47 s
-for level 5 alone over |t| <= 5*10^4 with every t evaluated).  Each such
-scan finds only t = -4..-1.  That range holds the box past which Runge's
-method leaves no integral point for n <= 5, but the bound is not derived
-here yet (ROADMAP item 17), so the scans are evidence, not proof.
+t mod m: the 64 exact values rhs(0), ..., rhs(63) give one m-bit pattern per
+modulus m <= 64 of the residues whose value is a square mod m, and each
+block of the range, its first t included, ANDs those patterns into one
+mask, so that only the t left in it are evaluated.  All 16 curves of levels
+1..8 take 0.3-0.5 s over |t| <= 10^6 and 6-7.5 s over |t| <= 2*10^7 on a
+2-core machine with CPython 3.11 (0.47 s for level 5 alone over
+|t| <= 5*10^4 with every t evaluated).  Each such scan finds only
+t = -4..-1.  That range holds the box past which Runge's method leaves no
+integral point for n <= 5, but the bound is not derived here yet (ROADMAP
+item 17), so the scans are evidence, not proof.  The scans of levels 9..24
+over |t| <= 10^5 find only t = -4..-1 too.
 """
 
 from __future__ import annotations
@@ -117,11 +119,12 @@ def is_squarefree(curve) -> bool:
 
 
 # The sieve moduli: 64 = 2^6, 63 = 9 * 7, 55 = 5 * 11 and the primes 13..61,
-# each at most _HEAD, so that the head values hold a full period of each.
+# each at most _RESIDUES, so that rhs(0), ..., rhs(_RESIDUES - 1) hold a full
+# period of each.
 _SIEVE_MODULI = (64, 63, 55, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-_HEAD = 64
-# the rest of the range is sieved in blocks of this many t, so that each
-# mask, and each step over its set bits, stays small
+_RESIDUES = 64
+# the range is sieved in blocks of this many t, so that each mask, and each
+# step over its set bits, stays small
 _BLOCK = 4096
 
 
@@ -161,41 +164,37 @@ def scan_integer_points(
     """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
     in t.
 
-    The first _HEAD values are evaluated exactly.  They give each sieve
-    modulus m a pattern whose bit k is set when rhs(t_min + k) mod m is a
-    square mod m, 0 included; it repeats with period m.  Past the head,
-    each block of _BLOCK arguments ANDs the patterns, tiled and shifted to
-    the block, into one mask, and only the t left in it are evaluated.
-    This is sound: a t is skipped only when rhs(t) is a non-square mod some
-    m, and then rhs(t) is not a square.  So the hits are those of
-    evaluating every t.
+    rhs has integer coefficients, so rhs(t) mod m depends only on t mod m.
+    The exact values rhs(0), ..., rhs(_RESIDUES - 1) give each sieve modulus
+    m a pattern whose bit r is set when rhs(r) mod m is a square mod m, 0
+    included; it repeats with period m.  Each block of _BLOCK arguments,
+    from t_min on, ANDs the patterns, tiled and shifted to the block's first
+    t mod m, into one mask, and only the t left in it are evaluated.  This
+    is sound: a t is skipped only when rhs(t) is a non-square mod some m,
+    and then rhs(t) is not a square.  So the hits are those of evaluating
+    every t.
     """
     if t_min > t_max:
         raise ValueError("empty range")
     rev = curve.rhs.int_coeffs()[::-1]
-    head_ts = range(t_min, min(t_max, t_min + _HEAD - 1) + 1)
-    head = _horner_values(rev, head_ts)
-    hits = _square_hits(head_ts, head)
-    width = t_max - t_min + 1
-    if width <= _HEAD:
-        return hits
-    span = min(width - _HEAD, _BLOCK)
+    residues = _horner_values(rev, range(_RESIDUES))
+    span = min(t_max - t_min + 1, _BLOCK)
     tiles = []
     for m, chars in zip(_SIEVE_MODULI, _SQUARE_CHARS):
-        # bit k for t_min + k; tiled to cover a block at any shift below m
-        tile = int("".join([chars[v % m] for v in reversed(head[:m])]), 2)
+        # bit k for t = k mod m; tiled to cover a block at any shift below m
+        tile = int("".join([chars[v % m] for v in reversed(residues[:m])]), 2)
         bits = m
         while bits < span + m:
             tile |= tile << bits
             bits *= 2
         tiles.append((m, tile))
-    for start in range(_HEAD, width, _BLOCK):
-        mask = (1 << min(_BLOCK, width - start)) - 1
+    hits = []
+    for base in range(t_min, t_max + 1, _BLOCK):
+        mask = (1 << min(_BLOCK, t_max + 1 - base)) - 1
         for m, tile in tiles:
-            mask &= tile >> (start % m)
+            mask &= tile >> (base % m)
             if not mask:
                 break
-        base = t_min + start
         ts = []
         while mask:
             low = mask & -mask

@@ -95,11 +95,9 @@ class TrivialInvolution(Record):
     __slots__ = ("signs", "rev")
 
     def __init__(self, signs: Tuple[int, int, int, int], rev: bool):
-        try:
-            valid = signs in _SIGNS and (rev is True or rev is False)
-        except TypeError:  # an unhashable signs, such as a list
-            valid = False
-        if not valid:
+        # 1.0 and True equal 1, so signs must be ints, not just hash like one
+        valid = isinstance(signs, tuple) and all(type(s) is int for s in signs)
+        if not (valid and signs in _SIGNS and (rev is True or rev is False)):
             raise ValueError(
                 f"not a trivial involution: signs {signs!r}, rev {rev!r}"
             )

@@ -1,7 +1,9 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-UPoly stores a dense coefficient tuple, lowest degree first, every entry a
-Fraction.
+UPoly stores a dense coefficient tuple, lowest degree first, each entry an
+int when whole and a Fraction otherwise, so integer polynomials compute in
+int; a quotient is exact or a Fraction, never a float.  lc(), p[k] and
+evaluation at a number still give Fractions.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
@@ -71,8 +73,8 @@ class UPoly(RingElement):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -87,14 +89,10 @@ class UPoly(RingElement):
         return not self.coeffs
 
     def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self[len(self.coeffs) - 1]
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.coeffs[k] if 0 <= k < len(self.coeffs) else 0)
 
     def __iter__(self):
         """The coefficients, constant first, up to the degree: without it,
@@ -103,12 +101,12 @@ class UPoly(RingElement):
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def int_coeffs(self) -> list[int]:
         if not self.is_integral():
             raise NonExactDivision("polynomial has non-integer coefficients")
-        return [c.numerator for c in self.coeffs]
+        return list(self.coeffs)
 
     # -- ring operations --------------------------------------------------
 
@@ -139,7 +137,7 @@ class UPoly(RingElement):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -156,10 +154,10 @@ class UPoly(RingElement):
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dr, db = len(rem) - 1, other.degree
-        lb = other.lc()
-        quot = [Fraction(0)] * max(dr - db + 1, 0)
+        lb = other.coeffs[-1]
+        quot = [0] * max(dr - db + 1, 0)
         while dr >= db and rem:
-            q = rem[-1] / lb
+            q = _quo(rem[-1], lb)
             quot[dr - db] = q
             for i, c in enumerate(other.coeffs):
                 rem[dr - db + i] -= q * c
@@ -190,16 +188,18 @@ class UPoly(RingElement):
         return UPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def __call__(self, value):
-        """Horner evaluation; value may be a scalar or a UPoly."""
-        if not self.coeffs:
-            return Fraction(0)
-        return horner(self.coeffs, value)
+        """Horner evaluation: a UPoly at a UPoly, the zero one included,
+        and a Fraction at an int or a Fraction."""
+        acc = horner(self.coeffs, value)
+        if isinstance(value, UPoly):
+            return _coerce(acc)
+        return Fraction(acc) if isinstance(acc, int) else acc
 
     def monic(self) -> "UPoly":
         if self.is_zero():
             return self
-        lb = self.lc()
-        return UPoly(tuple(c / lb for c in self.coeffs))
+        lb = self.coeffs[-1]
+        return UPoly(tuple(_quo(c, lb) for c in self.coeffs))
 
     def primitive_int(self) -> tuple[list[int], Fraction]:
         """Return (integer primitive coefficients with positive lc, scale).
@@ -217,6 +217,20 @@ class UPoly(RingElement):
         from .polytext import format_upoly
 
         return f"UPoly({format_upoly(self)})"
+
+
+def _scalar(c) -> Scalar:
+    """c as an int when whole, else as a Fraction; a bool becomes an int."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quo(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _scalar(Fraction(a) / b)
 
 
 def _coerce(x) -> UPoly:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buchi4 import curves
 from buchi4.arith import as_perfect_square
 from buchi4.curves import (
     _BLOCK,
     _CERT_PRIME,
+    _SIEVE_MODULI,
     TRIVIAL_PARAMETERS,
     CurveSpec,
     curve_rhs,
@@ -164,6 +166,34 @@ def test_the_sieve_equals_the_plain_scan(n, side, t_min, width):
     curve = curve_rhs(n, side)
     t_max = t_min + width - 1
     assert scan_integer_points(curve, t_min, t_max) == plain_scan(curve, t_min, t_max)
+
+
+def test_the_scan_evaluates_only_the_residues_and_what_every_pattern_keeps(
+    monkeypatch,
+):
+    # one benchmark segment of the costliest curve: rhs(0..63), the residue
+    # points whatever the range, then only the t whose value is a square
+    # modulo every sieve modulus; no t of the range is evaluated otherwise
+    curve = curve_rhs(8, "right")
+    calls = []
+    horner_values = curves._horner_values
+
+    def recording(rev, ts):
+        calls.append(list(ts))
+        return horner_values(rev, ts)
+
+    monkeypatch.setattr(curves, "_horner_values", recording)
+    assert scan_integer_points(curve, 1080, 1239) == []
+    coeffs = curve.coefficients()
+
+    def kept(t):
+        v = sum(c * t**k for k, c in enumerate(coeffs))
+        return all(any((v - x * x) % m == 0 for x in range(m)) for m in _SIEVE_MODULI)
+
+    survivors = [t for t in range(1080, 1240) if kept(t)]
+    assert survivors == [1171, 1186, 1217, 1223]
+    assert calls[0] == list(range(64))
+    assert [t for ts in calls[1:] for t in ts] == survivors
 
 
 def test_the_sieve_drops_no_square():

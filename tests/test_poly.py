@@ -166,10 +166,10 @@ def test_horner():
     v = horner([6, 19, 12, 2], 3)  # xi1(1, 3)
     assert v == 225 and type(v) is int
     assert horner((1, 1), Fraction(1, 2)) == Fraction(3, 2)
-    # UPoly evaluation keeps its types: a Fraction for the zero and the
-    # constant polynomials, a UPoly when composing
-    assert UPoly(())(T) == 0 and type(UPoly(())(T)) is Fraction
-    assert type(UPoly((3,))(T)) is Fraction
+    # UPoly evaluation keeps its types: a UPoly when composing, the zero
+    # and the constant polynomials included
+    assert UPoly(())(T) == 0 and type(UPoly(())(T)) is UPoly
+    assert UPoly((3,))(T) == UPoly((3,)) and type(UPoly((3,))(T)) is UPoly
     assert parse_upoly("t^2 + 1")(T + 1) == parse_upoly("t^2 + 2t + 2")
 
 
@@ -261,3 +261,108 @@ def test_foreign_operands_raise_type_error():
         divmod(T, "x")
     with pytest.raises(TypeError):
         T.exact_div("x")
+
+
+def test_the_zero_polynomial_composes_to_the_zero_polynomial():
+    for arg in (T, T * T + 1, UPoly()):
+        z = UPoly()(arg)
+        assert type(z) is UPoly and z.is_zero()
+    assert UPoly()(3) == 0 and type(UPoly()(3)) is Fraction
+
+
+# -- mixed int and Fraction coefficients against an all-Fraction reference --
+
+
+def _trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return _trim(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    quot, rem = [Fraction(0)] * len(a), list(a)
+    while len(rem) >= len(b):
+        q, shift = rem[-1] / b[-1], len(rem) - len(b)
+        quot[shift] = q
+        rem = _ref_add(rem, _ref_mul([Fraction(0)] * shift + [-q], b))
+    return _trim(quot), rem
+
+
+def _ref_compose(a, b):
+    out = []
+    for c in reversed(a):
+        out = _ref_add(_ref_mul(out, b), [c])
+    return out
+
+
+def _assert_canonical(p, want):
+    """p has the coefficients want (Fractions), each whole one an int and
+    no float anywhere, and equals and hashes like the polynomial of the
+    Fractions want."""
+    assert all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for c in p.coeffs
+    ), p.coeffs
+    assert list(p.coeffs) == want
+    built = UPoly(want)
+    assert p == built and hash(p) == hash(built) == hash(tuple(want))
+
+
+mixed_scalars = st.one_of(
+    st.integers(-30, 30),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4)),
+)
+mixed_lists = st.lists(mixed_scalars, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_lists, mixed_lists, mixed_scalars)
+def test_mixed_coefficients_agree_with_a_fraction_reference(a, b, x):
+    f, g = UPoly(a), UPoly(b)
+    fa, fb = _trim(a), _trim(b)
+    cases = [
+        (f, fa),
+        (g, fb),
+        (f + g, _ref_add(fa, fb)),
+        (f - g, _ref_add(fa, [-c for c in fb])),
+        (f * g, _ref_mul(fa, fb)),
+        (f * x, _ref_mul(fa, [x])),
+        (f.derivative(), _trim(k * c for k, c in enumerate(fa) if k)),
+        (f(g), _ref_compose(fa, fb)),
+    ]
+    if fa:
+        cases.append((f.monic(), [c / fa[-1] for c in fa]))
+    if fb:
+        q, r = divmod(f, g)
+        want_q, want_r = _ref_divmod(fa, fb)
+        cases += [(q, want_q), (r, want_r), ((f * g).exact_div(g), fa)]
+    for got, want in cases:
+        _assert_canonical(got, want)
+    # the API boundary: coefficients and values at numbers are Fractions
+    value = f(x)
+    assert type(value) is Fraction and value == horner(fa, Fraction(x))
+    assert type(f.lc()) is Fraction and type(f[0]) is Fraction
+    assert f.is_integral() == all(c.denominator == 1 for c in fa)
+    if fa:
+        prim, scale = f.primitive_int()
+        assert all(type(c) is int for c in prim) and prim[-1] > 0
+        assert gcd(*prim) == 1 and type(scale) is Fraction
+        assert [scale * c for c in prim] == fa

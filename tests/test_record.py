@@ -4,6 +4,7 @@ their dataclass versions printed, and pickle and copy round trips."""
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,12 @@ def test_unknown_kind_is_rejected():
         ((1, 1, 1, 1, 1), True),
         ([1, 1, 1, 1], False),
         ((1, [1], 1, 1), False),
+        # these equal and hash like sign tuples, so a membership test alone
+        # would let a float or a bool into an exact point
+        ((1.0, 1, 1, 1), False),
+        ((True, 1, 1, 1), False),
+        ((1, -1, Fraction(1), 1), True),
+        ((1, 1, 1, -1.0), True),
     ],
 )
 def test_trivial_involution_rejects_what_is_no_group_element(signs, rev):
