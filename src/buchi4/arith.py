@@ -1,8 +1,9 @@
 """Exact scalar arithmetic helpers.
 
 Integers are plain Python ints (arbitrary precision), rationals are
-fractions.Fraction (always stored reduced, denominator positive).  What this
-module adds is perfect-square detection with a cheap residue pre-filter and
+fractions.Fraction (always stored reduced, denominator positive), and exact
+is the one rule every module asks: a whole number is held as an int.  This
+module adds perfect-square detection with a cheap residue pre-filter and
 string round-trips used by the CLI and the asset files.
 """
 
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import isqrt, prod
 
 __all__ = [
+    "exact",
     "isqrt",
     "as_perfect_square",
     "is_perfect_square",
@@ -20,6 +22,18 @@ __all__ = [
     "parse_rational",
     "format_rational",
 ]
+
+
+def exact(x) -> int | Fraction:
+    """x as an exact number: an int unchanged (a bool as its int), a whole
+    Fraction as an int, any other Fraction as itself.  Anything else, a
+    float, a str or None among them, raises TypeError."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"expected exact integers or rationals (an int or a Fraction): {x!r}")
+
 
 # Squares modulo 64 hit only 12 residue classes, and modulo 45045 = 9*5*7*11*13
 # only about 4.5% of classes.  Together they reject more than 99% of
@@ -80,7 +94,4 @@ def parse_rational(s: str) -> Fraction:
 
 def format_rational(x: Fraction | int) -> str:
     """Inverse of parse_rational: "p" for integers, "p/q" otherwise."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(exact(x))

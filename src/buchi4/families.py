@@ -40,13 +40,14 @@ from math import comb, inf, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from . import assets
-from .arith import as_perfect_square, format_rational, parse_rational
+from .arith import as_perfect_square, exact, format_rational, parse_rational
 from .maps import (
     IDENTITY,
     TAU,
     DenominatorVanishes,
     TrivialInvolution,
     check_length,
+    exact_point,
     from_vector,
     group_elements,
     normalize_point,
@@ -111,11 +112,8 @@ def xi_eval(n: int, t) -> Tuple:
     xi_poly."""
     if n < 0:
         raise ValueError("negative index")
-    if isinstance(t, Fraction):
-        if t.denominator == 1:
-            t = t.numerator
-    elif not isinstance(t, (int, UPoly)):
-        raise TypeError(f"the argument must be an int or a Fraction, got {t!r}")
+    if not isinstance(t, UPoly):
+        t = exact(t)
     prev, cur = (t + 4, -t - 3, -t - 2, t + 1), (t + 1, t + 2, t + 3, t + 4)
     ft = 2 * t * t + 10 * t + 10
     for _ in range(n):
@@ -246,9 +244,9 @@ def thirds_family() -> Tuple[int, Tuple[UPoly, ...]]:
 
 def _family_value(index: int, t) -> Tuple[Fraction, ...]:
     """r(index) at t, or the quartic family for index 0: with t = a/b,
-    n_j(t)/den(t) = N_j(a, b)/Den(a, b) for the forms of _forms."""
-    if not isinstance(t, (int, Fraction)):
-        raise TypeError(f"the argument must be an int or a Fraction, got {t!r}")
+    n_j(t)/den(t) = N_j(a, b)/Den(a, b) for the forms of _forms.  t must
+    be an int or a Fraction (arith.exact)."""
+    t = exact(t)
     *nums, den = (horner(cs, t.numerator, t.denominator) for cs in _forms(index))
     if den == 0:
         raise DenominatorVanishes(f"family {index} denominator vanishes at t = {t}")
@@ -263,10 +261,10 @@ def p_value(t) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
 def p_eval(t) -> Tuple[int, int, int, int]:
     """Integer values of the quartic family; NonIntegral unless every value
     is an integer, which at integer t is exactly t != 3 mod 4."""
-    values = p_value(t)
-    if any(v.denominator != 1 for v in values):
+    values = tuple(map(exact, p_value(t)))
+    if not all(type(v) is int for v in values):
         raise NonIntegral(f"the quartic family is non-integral at t = {t}")
-    return tuple(v.numerator for v in values)
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +299,7 @@ def trivial_parameter(seq: Sequence) -> Optional[Fraction]:
     this runs on to_vector(seq)).  Other than int or Fraction coordinates
     raise the TypeError of classify.
     """
-    return _vector_trivial(to_vector(_exact_point(seq)))
+    return _vector_trivial(to_vector(exact_point(seq)))
 
 
 def _vector_trivial(v: Tuple[int, ...]) -> Optional[Fraction]:
@@ -319,7 +317,7 @@ def _vector_trivial(v: Tuple[int, ...]) -> Optional[Fraction]:
         return None
     for x in (a - ell, -a - ell):
         if all(s * s == (x + i * ell) ** 2 for i, s in enumerate((a, b, c, d), 1)):
-            return x // ell if x % ell == 0 else Fraction(x, ell)
+            return exact(Fraction(x, ell))
     return None
 
 
@@ -366,18 +364,16 @@ def extends(seq: Sequence, side: str) -> Optional[int]:
 
 
 def _json_number(v):
-    """Integers stay numbers; genuine rationals become exact strings."""
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else format_rational(v)
-    return v
-
-
-def _as_int_if_whole(v):
-    return v.numerator if v.denominator == 1 else v
+    """Integers stay numbers, genuine rationals become exact strings and a
+    missing field stays None."""
+    if v is None:
+        return v
+    v = exact(v)
+    return v if type(v) is int else str(v)
 
 
 def _read_rational(s: str):
-    return _as_int_if_whole(parse_rational(s))
+    return exact(parse_rational(s))
 
 
 def _read_integer(low: int, high: float):
@@ -495,19 +491,6 @@ class Classification(Record):
 
 (_set_kind, _set_n, _set_t, _set_x, _set_index, _set_base, _set_lifts,
  _set_witness, _set_key) = slot_setters(Classification)
-
-
-def _exact_point(seq: Sequence) -> Tuple:
-    check_length(seq)
-    out = []
-    for v in seq:
-        if isinstance(v, int):
-            out.append(v)
-        elif isinstance(v, Fraction):
-            out.append(v.numerator if v.denominator == 1 else v)
-        else:
-            raise TypeError("coordinates must be exact integers or rationals")
-    return tuple(out)
 
 
 def _rational_roots(poly: UPoly) -> list[Fraction]:
@@ -764,7 +747,7 @@ def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
             continue
         t = _family_parameter(i, v)
         if t is not None:
-            t = _as_int_if_whole(t)
+            t = exact(t)
             if i:
                 return Classification("r", index=i, t=t)
             return Classification("p", t=t)
@@ -904,7 +887,7 @@ def _tower_replays(v: Tuple[int, ...], cls: Classification) -> bool:
 def _surface_vector(seq: Sequence) -> Tuple[int, ...]:
     """The primitive vector of an exact point, which must lie on the
     surface."""
-    pt = _exact_point(seq)
+    pt = exact_point(seq)
     v = to_vector(pt)
     if not vector_on_surface(v):
         raise ValueError(f"{pt} does not satisfy the two defining equations")
@@ -912,7 +895,8 @@ def _surface_vector(seq: Sequence) -> Tuple[int, ...]:
 
 
 def descent_chain(seq: Sequence) -> List[Tuple]:
-    """The plain peel-and-renormalize chain under the inverse map.
+    """The plain peel-and-renormalize chain under the inverse map, a
+    one-line diagnostic view of descent.
 
     Starting from the increasing-positive form of seq, apply the inverse
     map and renormalize while the projective height strictly decreases,
@@ -920,10 +904,14 @@ def descent_chain(seq: Sequence) -> List[Tuple]:
     The chain stops at a trivial point, at a vanishing denominator, or at
     the first point whose height does not drop, which it includes; the
     height is a positive integer, so there are at most H(seq) + 1 points.
-    classify() chases the sign/order variants of this chain, this is the
-    one-line diagnostic view.  The walk is the one _descend takes, on
-    primitive integer vectors; each point comes back with int coordinates
-    where they are whole and Fractions elsewhere.
+
+    Each node is renormalized before the next step, where the chains of
+    _descend step from the node as the inverse map leaves it, so this
+    chain need not be one of theirs and can stall where classify() finds a
+    lift: at the normalized zeta(r12(1/2)), p = (135, 269, 367, 453)/64,
+    it runs p, (39, 43, 65, 93)/32, p, while classify(p) is
+    zeta^1(r:7:3).  The walk runs on primitive integer vectors; each point
+    comes back with int coordinates where whole, Fractions elsewhere.
     """
     w = _surface_vector(seq)
     w = _normalize(w) or w
@@ -973,7 +961,7 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
     parameter, as parse returns it, needs the point trivial; a sporadic one
     needs what classify needs of it, a non-trivial, strictly increasing and
     positive point (that it lies in no family is not checked)."""
-    pt = _exact_point(seq)
+    pt = exact_point(seq)
     v = to_vector(pt)
     if not vector_on_surface(v):
         return False

@@ -34,6 +34,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Tuple
 
 from . import assets
+from .arith import exact
 from .poly import UPoly
 from .record import Record, slot_setters
 
@@ -53,6 +54,7 @@ __all__ = [
     "PhiMap",
     "phi_map",
     "check_length",
+    "exact_point",
     "on_surface",
     "vector_on_surface",
     "to_vector",
@@ -67,7 +69,6 @@ __all__ = [
     "pell",
     "pell_point",
     "normalize_point",
-    "as_int_point",
 ]
 
 Point = Tuple
@@ -191,7 +192,7 @@ def from_vector(v: Tuple[int, ...]) -> Point:
     ell = v[4]
     if ell == 1:
         return v[:4]
-    return tuple(a // ell if a % ell == 0 else Fraction(a, ell) for a in v[:4])
+    return tuple(exact(Fraction(a, ell)) for a in v[:4])
 
 
 # -- the rational involution --------------------------------------------------
@@ -233,9 +234,15 @@ def check_length(pt: Point) -> None:
         raise ValueError(f"a point has 4 coordinates, not {len(pt)}: {tuple(pt)}")
 
 
-def on_surface(pt: Point) -> bool:
+def exact_point(pt: Point) -> Point:
+    """pt with each coordinate made exact (arith.exact); ValueError unless
+    it has four coordinates."""
     check_length(pt)
-    return vector_on_surface((*pt, 1))
+    return tuple(map(exact, pt))
+
+
+def on_surface(pt: Point) -> bool:
+    return vector_on_surface((*exact_point(pt), 1))
 
 
 def vector_on_surface(v: Tuple) -> bool:
@@ -396,15 +403,3 @@ def normalize_point(pt: Point):
         return None
     return g, g(pt)
 
-
-def as_int_point(pt: Point):
-    """Cast exact rational coordinates to ints, or None if any is not."""
-    out = []
-    for x in pt:
-        if isinstance(x, int):
-            out.append(x)
-        elif isinstance(x, Fraction) and x.denominator == 1:
-            out.append(x.numerator)
-        else:
-            return None
-    return tuple(out)

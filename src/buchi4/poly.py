@@ -1,9 +1,10 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 UPoly stores a dense coefficient tuple, lowest degree first, each entry an
-int when whole and a Fraction otherwise, so integer polynomials compute in
-int; a quotient is exact or a Fraction, never a float.  lc(), p[k] and
-evaluation at a number still give Fractions.
+int when whole and a Fraction otherwise (arith.exact), so integer
+polynomials compute in int; a quotient is exact or a Fraction.  A float
+coefficient or argument raises TypeError.  lc(), p[k] and evaluation at a
+number still give Fractions.
 
 The gcd uses the subresultant remainder sequence on integer-scaled inputs, so
 degree 70+ instances coming from the extension curves stay exact and fast.
@@ -24,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
+
+from .arith import exact
 
 __all__ = [
     "UPoly",
@@ -70,10 +73,13 @@ class RingElement:
 
 
 class UPoly(RingElement):
+    """int and Fraction coefficients, lowest degree first; a float
+    coefficient or argument raises TypeError."""
+
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
+        cs = [c if type(c) is int else exact(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -189,11 +195,11 @@ class UPoly(RingElement):
 
     def __call__(self, value):
         """Horner evaluation: a UPoly at a UPoly, the zero one included,
-        and a Fraction at an int or a Fraction."""
-        acc = horner(self.coeffs, value)
+        and a Fraction at an int or a Fraction; TypeError at anything
+        else, a float among them."""
         if isinstance(value, UPoly):
-            return _coerce(acc)
-        return Fraction(acc) if isinstance(acc, int) else acc
+            return _coerce(horner(self.coeffs, value))
+        return Fraction(horner(self.coeffs, exact(value)))
 
     def monic(self) -> "UPoly":
         if self.is_zero():
@@ -219,18 +225,11 @@ class UPoly(RingElement):
         return f"UPoly({format_upoly(self)})"
 
 
-def _scalar(c) -> Scalar:
-    """c as an int when whole, else as a Fraction; a bool becomes an int."""
-    if not isinstance(c, Fraction):
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _quo(a: Scalar, b: Scalar) -> Scalar:
     """a / b exactly: an int when b divides a, else a Fraction."""
     if type(a) is int and type(b) is int and not a % b:
         return a // b
-    return _scalar(Fraction(a) / b)
+    return exact(Fraction(a) / b)
 
 
 def _coerce(x) -> UPoly:

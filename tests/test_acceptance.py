@@ -30,10 +30,10 @@ from buchi4.families import (
     xi_eval,
     xi_poly,
 )
+from buchi4.arith import exact
 from buchi4.maps import (
     apply_phi,
     apply_zeta,
-    as_int_point,
     from_vector,
     on_surface,
     pell_point,
@@ -66,7 +66,8 @@ def test_criterion_01_group_identity_suite():
 
 
 def test_criterion_02_orbit_and_linearization():
-    orbit = [as_int_point(p) for p in zeta_orbit((1, 2, 3, 4), 20)]
+    orbit = [tuple(map(exact, p)) for p in zeta_orbit((1, 2, 3, 4), 20)]
+    assert all(type(x) is int for p in orbit for x in p)
     assert orbit[1] == (6, 23, 32, 39)
     assert orbit[2] == (59, 228, 317, 386)
     for n in range(19):

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 import buchi4
+from buchi4.arith import format_rational
 from buchi4.families import (
     Classification, classify, descent_chain, extends_left, extends_right,
     is_trivial, p_eval, p_value, r_value, trivial_parameter,
     verify_classification, xi_eval,
 )
 from buchi4.maps import apply_phi, on_surface
+from buchi4.poly import UPoly
 
 PUBLIC_NAMES = {
     "as_perfect_square", "is_perfect_square", "isqrt",
@@ -49,7 +51,7 @@ def test_every_point_entry_checks_that_coordinates_are_exact():
     verdict = Classification.parse("trivial")
     for call in (
         classify, descent_chain, is_trivial, trivial_parameter,
-        lambda pt: verify_classification(pt, verdict),
+        lambda pt: verify_classification(pt, verdict), on_surface,
     ):
         for pt in [(1.0, 2, 3, 4), (1, 2, 3, "4"), (0.5, 1.5, 2.5, 3.5)]:
             with pytest.raises(TypeError, match="exact integers or rationals"):
@@ -67,6 +69,9 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
         (p_value, (None,)),
         (xi_eval, (1, 0.5)),
         (xi_eval, (1, 2.0)),
+        (UPoly, ((0.1, 1),)),
+        (UPoly((1, 2)), (0.5,)),
+        (format_rational, (0.5,)),
     ]:
         with pytest.raises(TypeError, match="int or a Fraction"):
             call(*args)

@@ -11,6 +11,7 @@ from buchi4.arith import (
     _MOD,
     _TABLE,
     as_perfect_square,
+    exact,
     format_rational,
     is_perfect_square,
     isqrt,
@@ -65,6 +66,17 @@ def test_residue_filter_is_only_necessary():
     n = 45045 * 64  # hits residue 0 in both tables
     assert square_residue_filter(n)
     assert not is_perfect_square(n)
+
+
+def test_exact_keeps_ints_and_fractions_and_rejects_the_rest():
+    assert exact(True) == 1 and type(exact(True)) is int
+    assert exact(Fraction(4, 2)) == 2 and type(exact(Fraction(4, 2))) is int
+    assert exact(-7) == -7 and type(exact(-7)) is int
+    half = Fraction(1, 2)
+    assert exact(half) is half
+    for x in (0.5, "1", None):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            exact(x)
 
 
 def test_parse_and_format():

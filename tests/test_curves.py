@@ -145,9 +145,11 @@ def plain_scan(curve, t_min, t_max):
     [1, 63, 64, 65, 160, _BLOCK + 63, _BLOCK + 64, _BLOCK + 65, 3 * _BLOCK + 70],
 )
 def test_the_sieve_finds_what_the_plain_scan_finds(width):
-    # the head, the first block and block ends, at negative, zero and
-    # positive offsets; t_min = -5000 puts t = -4..-1 inside the sieved
-    # part of the widest ranges
+    # every t is sieved: widths about one period of the largest modulus,
+    # 64, one 160-wide segment, and the ends of the first and later blocks,
+    # at negative, zero and positive offsets; t_min = -5000 puts the
+    # trivial hits t = -4..-1 inside the widest range, where they must
+    # pass every pattern
     for t_min in (-5000, 0, 777):
         for curve in ALL_CURVES:
             want = plain_scan(curve, t_min, t_min + width - 1)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buchi4 import families
+from buchi4.arith import exact
 from buchi4.families import (
     _SIEVE_PRIMES,
     Classification,
@@ -55,7 +56,6 @@ from buchi4.maps import (
     DenominatorVanishes,
     apply_zeta,
     apply_zeta_inv,
-    as_int_point,
     from_vector,
     group_elements,
     normalize_point,
@@ -607,6 +607,21 @@ def test_descent_chain_stalls_on_sporadic_points():
     assert all(not is_trivial(pt) for pt in chain)
 
 
+def test_descent_chain_renormalizes_where_classify_does_not():
+    # p is the normalized zeta(r12(1/2)): descent_chain steps from the
+    # normalized node back to p and stalls, while classify's chains step
+    # from the node as the inverse map leaves it and find a lift
+    p = tuple(Fraction(n, 64) for n in (135, 269, 367, 453))
+    assert normalize_point(apply_zeta(r_value(12, Fraction(1, 2))))[1] == p
+    assert descent_chain(p) == [p, tuple(Fraction(n, 32) for n in (39, 43, 65, 93)), p]
+    node = zeta_inv_vector(to_vector(p))
+    assert node == (93, -65, -43, 39, 32)
+    assert normalize_point(zeta_inv_vector(node)[:4])[1] == (189, 425, 571, 687)
+    cls = classify(p)
+    assert cls.serialize() == "zeta^1(r:7:3)"
+    assert verify_classification(p, cls)
+
+
 @pytest.mark.parametrize(
     "nums, den, verdict",
     [
@@ -1062,8 +1077,8 @@ def _fraction_base_of(w):
     if norm is None:
         return None
     inner, wn = norm
-    ip = as_int_point(wn)
-    hit = _invert_xi(ip) if ip is not None else None
+    ip = tuple(map(exact, wn))
+    hit = _invert_xi(ip) if all(type(x) is int for x in ip) else None
     if hit is None:
         # the sieve only narrows the families to solve (checked above)
         hit = _reference_invert_family(wn, _sieve_mask(to_vector(wn), _family_sieve()))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buchi4 import maps, verify
+from buchi4.arith import exact
 from buchi4.families import p_family, r_value, xi_eval, xi_poly
 from buchi4.maps import (
     IDENTITY,
@@ -19,7 +20,6 @@ from buchi4.maps import (
     apply_phi,
     apply_zeta,
     apply_zeta_inv,
-    as_int_point,
     group_elements,
     mu,
     normalize_point,
@@ -274,8 +274,8 @@ def test_pell_point_matches_the_orbit():
 
 def test_orbit_satisfies_the_linear_recurrence():
     # component-wise u(n+2) = 10 u(n+1) - u(n) along the whole orbit
-    pts = [as_int_point(p) for p in zeta_orbit((1, 2, 3, 4), 20)]
-    assert all(p is not None for p in pts)
+    pts = [tuple(map(exact, p)) for p in zeta_orbit((1, 2, 3, 4), 20)]
+    assert all(type(x) is int for p in pts for x in p)
     for n in range(18):
         for i in range(4):
             assert pts[n + 2][i] == 10 * pts[n + 1][i] - pts[n][i]
@@ -305,7 +305,3 @@ def test_normalize_inverts_any_scramble(g, pt):
     assert h(scrambled) == norm
     assert norm == tuple(mags)
 
-
-def test_as_int_point():
-    assert as_int_point((Fraction(4, 2), 3, Fraction(4), 5)) == (2, 3, 4, 5)
-    assert as_int_point((Fraction(1, 2), 1, 1, 1)) is None
