@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_verify)
 
     q = sub.add_parser("xi", help="print a polynomial parametrization row")
-    q.add_argument("--n", type=int, required=True, help="row index, n >= 1")
+    q.add_argument("--n", type=int, required=True, help="row index, n >= 0; 0 is the trivial row")
     q.add_argument("--t", type=int, help="evaluate the row at this value")
     q.set_defaults(func=_cmd_xi)
 

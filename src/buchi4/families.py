@@ -109,16 +109,22 @@ def xi_eval(n: int, t) -> Tuple:
     xi(-1, t) = f xi(0, t) - xi(1, t) = (t+4, -t-3, -t-2, t+1) and
     xi(0, t) = (t+1, ..., t+4), so no polynomial is evaluated.  t is an
     int, a Fraction, or the polynomial T for the symbolic rows of
-    xi_poly."""
+    xi_poly.  The previous row p and the current row c are carried as eight
+    locals, each component stepped on its own: a tuple built per step takes
+    about twice as long, and _invert_xi's bisection is mostly this loop."""
     if n < 0:
         raise ValueError("negative index")
     if not isinstance(t, UPoly):
         t = exact(t)
-    prev, cur = (t + 4, -t - 3, -t - 2, t + 1), (t + 1, t + 2, t + 3, t + 4)
-    ft = 2 * t * t + 10 * t + 10
+    p1, p2, p3, p4 = t + 4, -t - 3, -t - 2, t + 1
+    c1, c2, c3, c4 = t + 1, t + 2, t + 3, t + 4
+    f = 2 * t * t + 10 * t + 10
     for _ in range(n):
-        prev, cur = cur, tuple(ft * b - a for a, b in zip(prev, cur))
-    return cur
+        p1, c1 = c1, f * c1 - p1
+        p2, c2 = c2, f * c2 - p2
+        p3, c3 = c3, f * c3 - p3
+        p4, c4 = c4, f * c4 - p4
+    return c1, c2, c3, c4
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +410,9 @@ class Classification(Record):
     """Where a point came from.
 
     kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'; any other
-    raises ValueError.  A 'lift' wraps a base verdict b plus a count k >= 1:
+    raises ValueError.  n, t, x and index are None or go through
+    arith.exact, so a float raises TypeError and a whole Fraction or a bool
+    is stored as its int.  A 'lift' wraps a base verdict b plus a count k >= 1:
     the point is eta(zeta^k(w)) for a trivial involution eta and a point w
     whose increasing positive form is b (or w is trivial).  witness carries
     the exact descent data (the outer involution, k, the inner involution
@@ -428,6 +436,7 @@ class Classification(Record):
     ):
         if kind not in _VERDICTS and kind != "lift":
             raise ValueError(f"unknown classification kind {kind!r}")
+        n, t, x, index = (None if v is None else exact(v) for v in (n, t, x, index))
         _set_kind(self, kind)
         _set_n(self, n)
         _set_t(self, t)

@@ -72,6 +72,8 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
         (UPoly, ((0.1, 1),)),
         (UPoly((1, 2)), (0.5,)),
         (format_rational, (0.5,)),
+        (Classification, ("p", None, 0.5)),
+        (Classification, ("xi", 1.0, 0)),
     ]:
         with pytest.raises(TypeError, match="int or a Fraction"):
             call(*args)
@@ -79,3 +81,4 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
     assert r_value(3, True) == r_value(3, 1)
     assert xi_eval(1, Fraction(4, 2)) == xi_eval(1, 2) == (108, 157, 194, 225)
     assert all(type(x) is int for x in xi_eval(1, Fraction(2)))
+    assert Classification("r", index=True, t=1).describe() == "R(i=1, t=1)"

@@ -40,6 +40,10 @@ def test_xi_polynomials_and_values(capsys):
     assert out.splitlines()[0] == "x1 = 2t^3 + 12t^2 + 19t + 6"
     code, out, _ = run(capsys, "xi", "--n", "2", "--t", "0")
     assert code == 0 and out.split() == ["59", "228", "317", "386"]
+    code, out, _ = run(capsys, "xi", "--n", "0", "--t", "5")
+    assert code == 0 and out.split() == ["6", "7", "8", "9"]
+    code, _, err = run(capsys, "xi", "--n", "-1")
+    assert code == 1 and "negative index" in err
 
 
 def test_search_csv(capsys):

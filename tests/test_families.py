@@ -135,9 +135,22 @@ def test_xi_rows_satisfy_both_equations_symbolically():
 
 
 def test_xi_eval_matches_polynomials():
-    for n in (1, 2, 3):
-        for t in (-7, -1, 0, 2, 11):
-            assert xi_eval(n, t) == tuple(p(t) for p in xi_poly(n))
+    # xi_poly is xi_eval at T, so a wrong step both share would pass the
+    # first comparison; the closed form takes beta powers, not the recurrence
+    for n in range(9):
+        for t in (-9, -4, -1, 0, 2, 11, 9999, Fraction(-7, 2), Fraction(1, 3)):
+            got = xi_eval(n, t)
+            assert got == tuple(p(t) for p in xi_poly(n)), (n, t)
+            assert got == tuple(p(t) for p in xi_closed_form(n)), (n, t)
+
+
+def test_invert_xi_at_the_workload_scale():
+    # family-values draws t < 10^4, past the hypothesis test's |t| <= 40
+    for n in range(1, 7):
+        for t in (0, 1, 9999, 10**6):
+            pt = xi_eval(n, t)
+            assert classify(pt) == Classification("xi", n=n, t=t), (n, t)
+            assert _invert_xi((pt[0] + 1, *pt[1:])) is None, (n, t)
 
 
 def test_xi_rejects_a_negative_index():
