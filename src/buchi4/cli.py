@@ -101,6 +101,9 @@ def _cmd_table(args) -> int:
     from .search import bundled_table, compare_with_table, plot_data, run_pipeline
 
     if args.compare:
+        if args.plot_data:
+            print("error: --plot-data cannot be combined with --compare", file=sys.stderr)
+            return 2
         if args.x2_bound is None:
             print("error: --compare requires --x2-bound", file=sys.stderr)
             return 2

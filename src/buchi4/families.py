@@ -412,9 +412,12 @@ class Classification(Record):
     kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'; any other
     raises ValueError.  n, t, x and index are None or go through
     arith.exact, so a float raises TypeError and a whole Fraction or a bool
-    is stored as its int.  A 'lift' wraps a base verdict b plus a count k >= 1:
+    is stored as its int.  A 'lift' wraps a base verdict b plus a count k:
     the point is eta(zeta^k(w)) for a trivial involution eta and a point w
-    whose increasing positive form is b (or w is trivial).  witness carries
+    whose increasing positive form is b (or w is trivial).  k must be an int
+    (not a bool or a float) and b a Classification, or TypeError; k >= 1
+    and b of kind trivial, xi, p or r, or ValueError.  Every other kind
+    has lifts 0 and base None, or ValueError.  witness carries
     the exact descent data (the outer involution, k, the inner involution
     and the base point) so the verdict can be replayed forward; it is
     deliberately excluded from the serialized forms, from equality, hashing
@@ -436,6 +439,13 @@ class Classification(Record):
     ):
         if kind not in _VERDICTS and kind != "lift":
             raise ValueError(f"unknown classification kind {kind!r}")
+        if kind == "lift":
+            if type(lifts) is not int or not isinstance(base, Classification):
+                raise TypeError(f"a lift needs an int count and a base verdict: {lifts!r}, {base!r}")
+            if lifts < 1 or base.kind in ("lift", "sporadic"):
+                raise ValueError(f"no lift zeta^{lifts} of a {base.kind} verdict")
+        elif type(lifts) is not int or lifts or base is not None:
+            raise ValueError(f"only a lift has a count and a base, not {kind!r}")
         n, t, x, index = (None if v is None else exact(v) for v in (n, t, x, index))
         _set_kind(self, kind)
         _set_n(self, n)
@@ -545,6 +555,21 @@ def _rational_roots(poly: UPoly) -> list[Fraction]:
 _XI1_FLOORS = (1, 6)
 
 
+def _xi_parameter(pt: Tuple[int, ...]) -> Optional[int]:
+    """(q - 5)/2 for q = 3(x2 + x3)/(x4 - x1): by the identity in
+    _invert_xi's docstring, the one t >= 0 that a row xi(n, t), n >= 0,
+    through the integer point pt can have; None when x4 <= x1, the division
+    is not exact, or q is even or below 5, so that no such row exists."""
+    s1, s2, s3, s4 = pt
+    d = s4 - s1
+    if d <= 0:
+        return None
+    q, r = divmod(3 * (s2 + s3), d)
+    if r or q < 5 or not q & 1:
+        return None
+    return (q - 5) // 2
+
+
 def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
     """Solve xi(n, t) = pt for n >= 1, t >= 0 by monotone bisection on the
     first component a_n(t) = xi1(n, t), level by level while the floor
@@ -560,7 +585,19 @@ def _invert_xi(pt: Tuple[int, ...]) -> Optional[Classification]:
     each a_n increases on t >= 0, and the floors a_n(0) increase in n: once
     one exceeds pt[0], no level left can hit.  At t = 0, f = 10, so the
     floors are the integers a_{n+1}(0) = 10 a_n(0) - a_{n-1}(0): 1, 6, 59,
-    584, 5781, ..."""
+    584, 5781, ...
+
+    Before any level, one identity refuses almost every point that is no
+    xi row, without one xi_eval call.  x2 + x3 and x4 - x1 follow the
+    recurrence of every component, from (-(2t+5), 2t+5) and (-3, 3) at
+    n = -1, 0, so 3(x2 + x3) = (2t + 5)(x4 - x1) at every n
+    (verify.verify_families checks it), and x4 - x1 grows from 3 as a_n
+    grows from a_0 by the induction above.  So a row through pt has
+    x4 > x1 and 3(x2 + x3)/(x4 - x1) = 2t + 5, an odd integer >= 5, which
+    _xi_parameter tests; the bisection stays the one search for the points
+    it lets through."""
+    if _xi_parameter(pt) is None:
+        return None
     s1 = pt[0]
     n = 1
     below, floor = _XI1_FLOORS

@@ -11,7 +11,8 @@ proofs hold of the code that runs and not only of the parsed asset.
 verify_families() checks everything families.py loads or derives: the xi
 rows, their link to the degree-growing map, their closed form and the unit
 beta it rests on, their symmetries, the base case of the level floors of
-the xi inversion, and every bundled family.  Each returns a
+the xi inversion, the invariant 3(x2 + x3) = (2t + 5)(x4 - x1) by which it
+refuses a point in O(1), and every bundled family.  Each returns a
 RelationReport, one named pass or fail per check.
 
 The checks live apart from the maps and the families, so that importing
@@ -27,6 +28,7 @@ from .families import (
     F_POLY,
     _closed_form_data,
     _family_table,
+    _xi_parameter,
     p_family,
     p_value,
     thirds_family,
@@ -48,7 +50,7 @@ from .maps import (
     zeta_orbit,
 )
 from .mpoly import MPoly4
-from .poly import UPoly
+from .poly import T, UPoly
 
 __all__ = [
     "RelationReport",
@@ -327,6 +329,21 @@ def verify_families() -> RelationReport:
         and F_POLY(0) == 10
         and d0(0) > 0
         and (a0(0), a1(0)) == _XI1_FLOORS,
+    ))
+    # _invert_xi's reject: x2 + x3 and x4 - x1 are fixed combinations of
+    # components that share the recurrence, so the identity at the seeds
+    # xi(-1) and xi(0) holds at every n; x4 - x1 starts at 3 with
+    # nonnegative coefficients from xi(0) to xi(1), and grows like xi1
+    seed = (T + 4, -T - 3, -T - 2, T + 1)
+    rows = (seed, *(xi_poly(n) for n in range(n_hi + 1)))
+    u0, u1 = (x[3] - x[0] for x in rows[1:3])
+    entries.append((
+        "3(x2 + x3) = (2t + 5)(x4 - x1) and x4 > x1 on xi rows",
+        tuple(F_POLY * c - s for c, s in zip(xi_poly(0), seed)) == xi_poly(1)
+        and all(3 * (x[1] + x[2]) == (2 * T + 5) * (x[3] - x[0]) for x in rows)
+        and u0 == 3
+        and all(c >= 0 for c in u1 - u0)
+        and all(_xi_parameter(xi_eval(n, t)) == t for n in range(n_hi + 1) for t in range(5)),
     ))
     ok = True
     for n in range(11):

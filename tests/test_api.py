@@ -82,3 +82,22 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
     assert xi_eval(1, Fraction(4, 2)) == xi_eval(1, 2) == (108, 157, 194, 225)
     assert all(type(x) is int for x in xi_eval(1, Fraction(2)))
     assert Classification("r", index=True, t=1).describe() == "R(i=1, t=1)"
+
+
+def test_a_lift_needs_an_int_count_and_a_base_verdict():
+    trivial = Classification("trivial")
+    for kind, kwargs, error in [
+        ("lift", dict(base=trivial, lifts=0.5), TypeError),  # zeta^0.5 would not parse back
+        ("lift", dict(base=trivial, lifts=2.0), TypeError),  # would equal lifts=2
+        ("lift", dict(base=trivial, lifts=True), TypeError),
+        ("lift", dict(base=None, lifts=1), TypeError),  # nothing to describe
+        ("lift", dict(base=trivial, lifts=0), ValueError),
+        ("lift", dict(base=Classification("sporadic"), lifts=1), ValueError),
+        ("xi", dict(n=1, t=2, lifts=3), ValueError),
+        ("p", dict(t=1, base=trivial), ValueError),
+    ]:
+        with pytest.raises(error):
+            Classification(kind, **kwargs)
+    lift = Classification("lift", base=Classification("xi", n=1, t=2), lifts=2)
+    assert Classification.parse(lift.serialize()) == lift
+    assert lift.describe() == "ZetaLift(k=2, base=Xi(n=1, t=2))"

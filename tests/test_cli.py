@@ -133,6 +133,10 @@ def test_table_modes(capsys):
     code, _, err = run(capsys, "table", "--compare")
     assert code == 2 and "--x2-bound" in err
 
+    code, out, err = run(capsys, "table", "--compare", "--x2-bound", "100", "--plot-data")
+    assert code == 2 and not out
+    assert "error: --plot-data cannot be combined with --compare" in err
+
     code, out, err = run(capsys, "table", "--x2-bound", "5")
     assert code == 2 and not out
     assert "error: --x2-bound requires --compare" in err

@@ -28,6 +28,7 @@ from buchi4.families import (
     _residue_image,
     _sieve_mask,
     _sieve_tables,
+    _xi_parameter,
     F_POLY,
     NonIntegral,
     classify,
@@ -144,13 +145,37 @@ def test_xi_eval_matches_polynomials():
             assert got == tuple(p(t) for p in xi_closed_form(n)), (n, t)
 
 
-def test_invert_xi_at_the_workload_scale():
-    # family-values draws t < 10^4, past the hypothesis test's |t| <= 40
+def test_invert_xi_at_the_workload_scale(monkeypatch):
+    # family-values draws t < 10^4, past the hypothesis test's |t| <= 40;
+    # x1 and x4 moved together keep 3(x2 + x3) = (2t + 5)(x4 - x1), so the
+    # bisection, not the gate, must refuse the moved point
     for n in range(1, 7):
         for t in (0, 1, 9999, 10**6):
             pt = xi_eval(n, t)
             assert classify(pt) == Classification("xi", n=n, t=t), (n, t)
-            assert _invert_xi((pt[0] + 1, *pt[1:])) is None, (n, t)
+            moved = (pt[0] + 1, pt[1], pt[2], pt[3] + 1)
+            assert _xi_parameter(moved) == t and _invert_xi(moved) is None, (n, t)
+    # the O(1) gate 3(x2 + x3) = (2t + 5)(x4 - x1) lets every xi row
+    # through, with its own t, and refuses every increasing p(t) value of
+    # family-values before _invert_xi evaluates a single xi row
+    for n in range(7):
+        for t in range(2001):
+            assert _xi_parameter(xi_eval(n, t)) == t, (n, t)
+    # xi(-1, t) fits the identity too, but has x4 - x1 = -3
+    assert _xi_parameter((4, -3, -2, 1)) is None
+    assert _xi_parameter((1, 2, 3, 1)) is None
+    calls = 0
+
+    def counted(n, t):
+        nonlocal calls
+        calls += 1
+        return xi_eval(n, t)
+
+    monkeypatch.setattr(families, "xi_eval", counted)
+    values = [p_eval(t) for t in range(10**4) if t % 4 != 3]
+    assert len(values) == 7500 and all(map(is_increasing_positive, values))
+    assert all(_invert_xi(pt) is None for pt in values)
+    assert calls == 0
 
 
 def test_xi_rejects_a_negative_index():
