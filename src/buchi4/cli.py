@@ -14,6 +14,7 @@ curves.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -49,11 +50,12 @@ def _cmd_search(args) -> int:
 
     from .search import records_csv, records_json, search_records
 
-    records = search_records(args.x2_max, args.classify, args.extend)
+    computed = (args.classify, args.extend)
+    records = search_records(args.x2_max, *computed)
     if args.format == "json":
-        print(json.dumps(records_json(records), indent=2))
+        print(json.dumps(records_json(records, *computed), indent=2))
     else:
-        for line in records_csv(records):
+        for line in records_csv(records, *computed):
             print(line)
     return 0
 
@@ -175,7 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`buchi4 xi --n 300 | head`): send what is
+        # left to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,10 +17,10 @@ Families:
 The classifier decides where a strictly increasing positive integer point
 came from: trivial, one of the families above, a tower of degree-growing-map
 lifts over such a point, or sporadic (none of the preceding).  Descent drives
-the lift detection: the inverse map is "apply the involution, then tidy signs
-and order", so the classifier walks all involution-adjacent images of the
-point whose projective height strictly drops, re-testing the base families
-at every level; that height is a positive integer, so every walk ends.
+the lift detection: one walk, _chain, applies the inverse map while the
+projective height, a positive integer, strictly drops; classify runs it from
+involution images of the point, testing the base families at every node, and
+descent_chain prints the first of these walks in increasing-positive form.
 Every non-sporadic verdict is re-verified by exact forward evaluation
 before it is returned.  Descent runs on integers: each chain node is the
 primitive vector (A, B, C, D, L) of maps.to_vector, and Fractions appear only
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import comb, inf, isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -485,10 +484,7 @@ class Classification(Record):
         1..15; anything else raises ValueError."""
         if text.startswith("zeta^"):
             head, _, inner = text.partition("(")
-            lifts, base = int(head[5:]), cls.parse(inner[:-1])
-            if lifts < 1 or base.kind in ("lift", "sporadic"):
-                raise ValueError(f"no lift serializes as {text!r}")
-            got = cls("lift", base=base, lifts=lifts)
+            got = cls("lift", base=cls.parse(inner[:-1]), lifts=int(head[5:]))
         else:
             kind, *parts = text.split(":")
             if kind not in _VERDICTS:
@@ -793,7 +789,6 @@ def _invert_family(v: Tuple[int, ...]) -> Optional[Classification]:
             continue
         t = _family_parameter(i, v)
         if t is not None:
-            t = exact(t)
             if i:
                 return Classification("r", index=i, t=t)
             return Classification("p", t=t)
@@ -864,20 +859,36 @@ def _base_of(w: Tuple[int, ...]) -> Optional[Tuple[TrivialInvolution, Classifica
     return normalize_point(w[:4])[0], hit
 
 
+def _chain(w: Tuple[int, ...]):
+    """zeta^-1(w), zeta^-2(w), ... of the primitive vector w, each node as
+    zeta_inv_vector leaves it, while the projective height H falls; the
+    first node whose H does not fall is the last, and the chain stops before
+    a node where phi is undefined.  H is a positive integer: H(w) nodes at
+    most."""
+    h = _height(w)
+    while True:
+        try:
+            w = zeta_inv_vector(w)
+        except ZeroDivisionError:
+            return
+        yield w
+        hw = _height(w)
+        if hw >= h:
+            return
+        h = hw
+
+
 def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
     """Search for a tower eta(pt) = zeta^k(w), k >= 1, over a family or
     trivial point w, where v is the primitive vector of pt.
 
     The map is deterministic once the outer involution is fixed, so the
     search is a bundle of straight chains, not a tree: for each coset
-    representative eta, repeatedly peel one inverse map application off
-    eta(pt) while the projective height H strictly decreases, testing the
-    base families at every chain node.  H(w) = max(|A|, |B|, |C|, |D|, L)
-    of the primitive vector is a positive integer that the trivial
-    involutions keep, so a chain takes at most H(pt) steps and every chain
-    ends, at the first node whose height does not fall or where phi is
-    undefined.  A tower is found when H falls at every step from eta(pt)
-    down to its base on some representative's chain.
+    representative eta, the identity first, the nodes of _chain(eta(v))
+    are tested against the base families in turn.  The trivial involutions
+    keep H, so every chain starts at H(pt) and ends.  A tower is found when
+    H falls at every step from eta(pt) down to its base on some
+    representative's chain; descent_chain shows the identity's chain.
 
     One direction suffices.  The twist Z of zeta = phi Z is an involution
     that commutes with -1 and tau, so zeta^-1 = Z zeta Z, and the forward
@@ -887,15 +898,8 @@ def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
     is converted back to int/Fraction coordinates for its witness.  Any hit
     is replayed forward exactly before it is accepted.
     """
-    h0 = _height(v)
     for eta in _chain_representatives():
-        w = eta.on_vector(v)
-        h = h0
-        for k in count(1):
-            try:
-                w = zeta_inv_vector(w)
-            except ZeroDivisionError:
-                break
+        for k, w in enumerate(_chain(eta.on_vector(v)), 1):
             found = _base_of(w)
             if found is not None:
                 inner, base = found
@@ -907,10 +911,6 @@ def _descend(v: Tuple[int, ...]) -> Optional[Classification]:
                 )
                 if _tower_replays(v, cls):
                     return cls
-            hw = _height(w)
-            if hw >= h:
-                break
-            h = hw
     return None
 
 
@@ -941,39 +941,21 @@ def _surface_vector(seq: Sequence) -> Tuple[int, ...]:
 
 
 def descent_chain(seq: Sequence) -> List[Tuple]:
-    """The plain peel-and-renormalize chain under the inverse map, a
-    one-line diagnostic view of descent.
-
-    Starting from the increasing-positive form of seq, apply the inverse
-    map and renormalize while the projective height strictly decreases,
-    collecting every point visited (the input's normalized form first).
-    The chain stops at a trivial point, at a vanishing denominator, or at
-    the first point whose height does not drop, which it includes; the
-    height is a positive integer, so there are at most H(seq) + 1 points.
-
-    Each node is renormalized before the next step, where the chains of
-    _descend step from the node as the inverse map leaves it, so this
-    chain need not be one of theirs and can stall where classify() finds a
-    lift: at the normalized zeta(r12(1/2)), p = (135, 269, 367, 453)/64,
-    it runs p, (39, 43, 65, 93)/32, p, while classify(p) is
-    zeta^1(r:7:3).  The walk runs on primitive integer vectors; each point
-    comes back with int coordinates where whole, Fractions elsewhere.
+    """The first chain that classify() walks in descent, as a diagnostic
+    view: the increasing-positive form of seq, then the nodes of _chain from
+    it (the identity representative's chain of _descend), each shown in its
+    increasing-positive form where it has one, up to the first trivial node;
+    at most H(seq) + 1 points, with int coordinates where whole, Fractions
+    elsewhere.
     """
     w = _surface_vector(seq)
     w = _normalize(w) or w
     chain = [w]
-    h = _height(w)
-    while _vector_trivial(w) is None:
-        try:
-            w = zeta_inv_vector(w)
-        except ZeroDivisionError:
-            break
-        w = _normalize(w) or w
-        chain.append(w)
-        hw = _height(w)
-        if hw >= h:
-            break
-        h = hw
+    if _vector_trivial(w) is None:
+        for w in _chain(w):
+            chain.append(_normalize(w) or w)
+            if _vector_trivial(w) is not None:
+                break
     return [from_vector(w) for w in chain]
 
 
@@ -1002,26 +984,25 @@ def classify(seq: Sequence) -> Classification:
 
 
 def verify_classification(seq: Sequence, cls: Classification) -> bool:
-    """Re-evaluate a verdict forward and compare with the sequence.  Every
-    kind needs the point on the surface.  A trivial verdict without its
-    parameter, as parse returns it, needs the point trivial; a sporadic one
-    needs what classify needs of it, a non-trivial, strictly increasing and
+    """Replay a verdict by the tests classify made.  Every kind needs the
+    point on the surface, a trivial one the point trivial (with x, when
+    given), a p or r one _family_has (so a pole or an r index outside 1..15
+    is False), and a sporadic one a non-trivial, strictly increasing and
     positive point (that it lies in no family is not checked)."""
     pt = exact_point(seq)
     v = to_vector(pt)
     if not vector_on_surface(v):
         return False
     if cls.kind == "trivial":
-        x = cls.x
-        if x is None:
-            return _vector_trivial(v) is not None
-        return all(s * s == (x + i) * (x + i) for i, s in enumerate(pt, 1))
+        x = _vector_trivial(v)
+        return x is not None and (cls.x is None or cls.x == x)
     if cls.kind == "xi":
         return xi_eval(cls.n, cls.t) == pt
     if cls.kind == "p":
-        return p_value(cls.t) == pt
+        return cls.t is not None and _family_has(0, cls.t, v)
     if cls.kind == "r":
-        return r_value(cls.index, cls.t) == pt
+        i, t = cls.index, cls.t
+        return i in range(1, 16) and t is not None and _family_has(i, t, v)
     if cls.kind == "lift":
         return cls.witness is not None and _tower_replays(v, cls)
     return is_increasing_positive(pt) and _vector_trivial(v) is None

@@ -82,8 +82,8 @@ def enumerate_sequences(x2_max: int, engine: str = "two-squares") -> List[Seq]:
 class SearchRecord(Record):
     """One search result: the sequence, where it came from, and the
     nonnegative fifth values extending it on each side (None if none).
-    search_records leaves classification and the extension values None
-    when they are not asked for."""
+    search_records leaves the fields not asked for None, and csv_row and
+    to_json, given the same two flags, leave them out."""
 
     __slots__ = ("seq", "classification", "extends_left", "extends_right")
 
@@ -103,24 +103,16 @@ class SearchRecord(Record):
     def _key(self) -> tuple:
         return (self.seq, self.classification, self.extends_left, self.extends_right)
 
-    def csv_row(self) -> str:
+    def csv_row(self, classified: bool = True, extended: bool = True) -> str:
         cls = "" if self.classification is None else self.classification.serialize()
         left = "" if self.extends_left is None else str(self.extends_left)
         right = "" if self.extends_right is None else str(self.extends_right)
-        return ",".join([*map(str, self.seq), cls, left, right])
+        return ",".join(_computed([*map(str, self.seq), cls, left, right], classified, extended))
 
-    def to_json(self) -> dict:
-        return {
-            "x1": self.seq[0],
-            "x2": self.seq[1],
-            "x3": self.seq[2],
-            "x4": self.seq[3],
-            "classification": None
-            if self.classification is None
-            else self.classification.to_json(),
-            "extends_left": self.extends_left,
-            "extends_right": self.extends_right,
-        }
+    def to_json(self, classified: bool = True, extended: bool = True) -> dict:
+        cls = None if self.classification is None else self.classification.to_json()
+        values = [*self.seq, cls, self.extends_left, self.extends_right]
+        return dict(_computed(list(zip(_COLUMNS, values)), classified, extended))
 
 
 _set_seq, _set_classification, _set_extends_left, _set_extends_right = slot_setters(
@@ -150,16 +142,30 @@ def run_pipeline(x2_max: int) -> List[SearchRecord]:
 
 
 CSV_HEADER = "x1,x2,x3,x4,classification,extends_left,extends_right"
+_COLUMNS = CSV_HEADER.split(",")
 
 
-def records_csv(records: Iterable[SearchRecord]) -> Iterable[str]:
-    yield CSV_HEADER
+def _computed(columns: list, classified: bool, extended: bool) -> list:
+    """The entries of a full seven-column list that search_records computed,
+    as classified and extended say."""
+    return columns[:4] + columns[4:5] * classified + columns[5:] * extended
+
+
+def records_csv(
+    records: Iterable[SearchRecord], classified: bool = True, extended: bool = True
+) -> Iterable[str]:
+    """The header, then one line per record; as in search_records,
+    classified and extended say which columns past x4 there are."""
+    yield ",".join(_computed(_COLUMNS, classified, extended))
     for rec in records:
-        yield rec.csv_row()
+        yield rec.csv_row(classified, extended)
 
 
-def records_json(records: Iterable[SearchRecord]) -> List[dict]:
-    return [rec.to_json() for rec in records]
+def records_json(
+    records: Iterable[SearchRecord], classified: bool = True, extended: bool = True
+) -> List[dict]:
+    """One object per record, keyed by the columns of records_csv."""
+    return [rec.to_json(classified, extended) for rec in records]
 
 
 # -- the bundled reference table ---------------------------------------------

@@ -2,7 +2,10 @@
 
 import doctest
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,10 +61,26 @@ def test_search_csv(capsys):
 
 
 def test_search_json_without_classification(capsys):
+    # what search did not compute has no key, not a null
     code, out, _ = run(capsys, "search", "--x2-max", "50", "--format", "json")
     assert code == 0
-    blob = json.loads(out)
-    assert blob[0]["x1"] == 6 and blob[0]["classification"] is None
+    assert json.loads(out) == [{"x1": 6, "x2": 23, "x3": 32, "x4": 39}]
+    code, out, _ = run(capsys, "search", "--x2-max", "50", "--extend", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"x1": 6, "x2": 23, "x3": 32, "x4": 39, "extends_left": None, "extends_right": None}
+    ]
+
+
+def test_search_csv_writes_only_the_computed_columns(capsys):
+    want = {
+        (): ["x1,x2,x3,x4", "6,23,32,39"],
+        ("--classify",): ["x1,x2,x3,x4,classification", "6,23,32,39,xi:1:0"],
+        ("--extend",): ["x1,x2,x3,x4,extends_left,extends_right", "6,23,32,39,,"],
+    }
+    for flags, lines in want.items():
+        code, out, _ = run(capsys, "search", "--x2-max", "50", *flags)
+        assert code == 0 and out.splitlines() == lines, flags
 
 
 def test_search_output_is_the_library_records(capsys):
@@ -75,6 +94,21 @@ def test_search_output_is_the_library_records(capsys):
     )
     assert code == 0
     assert json.loads(out) == records_json(records)
+
+
+def test_a_closed_pipe_ends_the_output_quietly():
+    # `buchi4 xi --n 300` writes about 800 KB, far more than a pipe holds, so
+    # the write fails once the reader has closed its end
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "buchi4.cli", "xi", "--n", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b"x1 = 20370"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_descend_prints_the_chain(capsys):

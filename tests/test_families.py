@@ -493,6 +493,21 @@ def test_sporadic_and_parsed_trivial_verdicts_replay_only_where_classify_returns
     assert not verify_classification((1, 2, 3, 5), Classification("trivial", x=0))
 
 
+def test_family_verdicts_replay_by_the_membership_test():
+    # a p or r verdict replays through _family_has, as classify tested it:
+    # r3 has a pole at t = 0, and r0 and r16 do not exist, so each is False
+    xi10 = (6, 23, 32, 39)
+    for i in (3, 0, 16):
+        assert not verify_classification(xi10, Classification("r", index=i, t=0)), i
+    assert not verify_classification(xi10, Classification("r", t=0))
+    assert not verify_classification(xi10, Classification("p"))
+    assert not verify_classification(xi10, Classification("trivial", x=5))
+    for t in (0, 1, Fraction(1, 2)):
+        assert verify_classification(p_value(t), Classification("p", t=t))
+    assert verify_classification(r_value(4, 6), Classification("r", index=4, t=6))
+    assert not verify_classification(r_value(4, 6), Classification("r", index=4, t=7))
+
+
 def test_involution_images_of_family_values_are_not_members():
     # R_4(-2) is the reversed negation of the first reference row; membership
     # is signed ordered equality, so the row itself stays Sporadic
@@ -645,16 +660,24 @@ def test_descent_chain_stalls_on_sporadic_points():
     assert all(not is_trivial(pt) for pt in chain)
 
 
-def test_descent_chain_renormalizes_where_classify_does_not():
-    # p is the normalized zeta(r12(1/2)): descent_chain steps from the
-    # normalized node back to p and stalls, while classify's chains step
-    # from the node as the inverse map leaves it and find a lift
+def test_descent_chain_is_the_first_chain_classify_walks():
+    # p is the normalized zeta(r12(1/2)): the chain steps from the node
+    # (93, -65, -43, 39)/32 as the inverse map leaves it, not from its
+    # normalized form (which leads back to p), and stops where the height
+    # rises; classify finds the lift on another representative's chain
     p = tuple(Fraction(n, 64) for n in (135, 269, 367, 453))
     assert normalize_point(apply_zeta(r_value(12, Fraction(1, 2))))[1] == p
-    assert descent_chain(p) == [p, tuple(Fraction(n, 32) for n in (39, 43, 65, 93)), p]
-    node = zeta_inv_vector(to_vector(p))
-    assert node == (93, -65, -43, 39, 32)
-    assert normalize_point(zeta_inv_vector(node)[:4])[1] == (189, 425, 571, 687)
+    chain = descent_chain(p)
+    assert chain == [
+        p,
+        tuple(Fraction(n, 32) for n in (39, 43, 65, 93)),
+        tuple(Fraction(n, 16) for n in (189, 425, 571, 687)),
+    ]
+    assert _chain_representatives()[0] == IDENTITY
+    nodes = list(families._chain(to_vector(p)))
+    assert nodes[0] == (93, -65, -43, 39, 32)
+    assert chain[1:] == [normalize_point(from_vector(w))[1] for w in nodes]
+    assert _typed(chain) == _typed(_fraction_descent_chain(p))
     cls = classify(p)
     assert cls.serialize() == "zeta^1(r:7:3)"
     assert verify_classification(p, cls)
@@ -1162,9 +1185,13 @@ def _fraction_descend(pt):
 
 
 def _fraction_descent_chain(seq):
-    pt = _fraction_exact(seq)
-    norm = normalize_point(pt)
-    w = norm[1] if norm is not None else pt
+    """descent_chain by the Fraction path: each step starts from the node
+    as apply_zeta_inv leaves it, and only the shown node is normalized."""
+    def shown(w):
+        norm = normalize_point(w)
+        return norm[1] if norm is not None else w
+
+    w = shown(_fraction_exact(seq))
     chain = [w]
     h = _fraction_height(w)
     while _squaring_trivial(w) is None:
@@ -1172,10 +1199,7 @@ def _fraction_descent_chain(seq):
             w = _fraction_exact(apply_zeta_inv(w))
         except ZeroDivisionError:
             break
-        norm = normalize_point(w)
-        if norm is not None:
-            w = norm[1]
-        chain.append(w)
+        chain.append(shown(w))
         hw = _fraction_height(w)
         if hw >= h:
             break
