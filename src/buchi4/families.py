@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import assets
 from .arith import as_perfect_square, exact, format_rational, parse_rational
@@ -859,7 +859,7 @@ def _base_of(w: Tuple[int, ...]) -> Optional[Tuple[TrivialInvolution, Classifica
     return normalize_point(w[:4])[0], hit
 
 
-def _chain(w: Tuple[int, ...]):
+def _chain(w: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     """zeta^-1(w), zeta^-2(w), ... of the primitive vector w, each node as
     zeta_inv_vector leaves it, while the projective height H falls; the
     first node whose H does not fall is the last, and the chain stops before
