@@ -10,17 +10,18 @@ scans integer arguments for square values.
 
 The scan is a residue sieve, after the bit-parallel sieve of M. Stoll's
 ratpoints.  rhs has integer coefficients, so rhs(t) mod m depends only on
-t mod m: the 64 exact values rhs(0), ..., rhs(63) give one m-bit pattern per
-modulus m <= 64 of the residues whose value is a square mod m, and each
-block of the range, its first t included, ANDs those patterns into one
-mask, so that only the t left in it are evaluated.  All 16 curves of levels
-1..8 take 0.3-0.5 s over |t| <= 10^6 and 6-7.5 s over |t| <= 2*10^7 on a
-2-core machine with CPython 3.11 (0.47 s for level 5 alone over
-|t| <= 5*10^4 with every t evaluated).  Each such scan finds only
-t = -4..-1.  That range holds the box past which Runge's method leaves no
-integral point for n <= 5, but the bound is not derived here yet (ROADMAP
-item 17), so the scans are evidence, not proof.  The scans of levels 9..24
-over |t| <= 10^5 find only t = -4..-1 too.
+t mod m: the 64 exact values rhs(-31), ..., rhs(32), built in pairs
+rhs(r), rhs(-r) from the even and odd parts of rhs, give one m-bit pattern
+per modulus m <= 64 of the residues whose value is a square mod m, and
+each block of the range, its first t included, ANDs those patterns into
+one mask, so that only the t left in it are evaluated.  All 16 curves of
+levels 1..8 take 0.3-0.5 s over |t| <= 10^6 and 6-7.5 s over
+|t| <= 2*10^7 on a 2-core machine with CPython 3.11 (0.47 s for level 5
+alone over |t| <= 5*10^4 with every t evaluated).  Each such scan finds
+only t = -4..-1.  That range holds the box past which Runge's method leaves
+no integral point for n <= 5, but the bound is not derived here yet
+(ROADMAP item 17), so the scans are evidence, not proof.  The scans of
+levels 9..24 over |t| <= 10^5 find only t = -4..-1 too.
 """
 
 from __future__ import annotations
@@ -119,10 +120,11 @@ def is_squarefree(curve) -> bool:
 
 
 # The sieve moduli: 64 = 2^6, 63 = 9 * 7, 55 = 5 * 11 and the primes 13..61,
-# each at most _RESIDUES, so that rhs(0), ..., rhs(_RESIDUES - 1) hold a full
-# period of each.
+# each at most _RESIDUES, so that the _RESIDUES consecutive values
+# rhs(1 - _HALF), ..., rhs(_HALF) hold a full period of each.
 _SIEVE_MODULI = (64, 63, 55, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 _RESIDUES = 64
+_HALF = _RESIDUES // 2
 # the range is sieved in blocks of this many t, so that each mask, and each
 # step over its set bits, stays small
 _BLOCK = 4096
@@ -164,25 +166,41 @@ def scan_integer_points(
     """All (t, y) with t_min <= t <= t_max, rhs(t) = y^2, y >= 0, ascending
     in t.
 
-    rhs has integer coefficients, so rhs(t) mod m depends only on t mod m.
-    The exact values rhs(0), ..., rhs(_RESIDUES - 1) give each sieve modulus
-    m a pattern whose bit r is set when rhs(r) mod m is a square mod m, 0
-    included; it repeats with period m.  Each block of _BLOCK arguments,
-    from t_min on, ANDs the patterns, tiled and shifted to the block's first
-    t mod m, into one mask, and only the t left in it are evaluated.  This
-    is sound: a t is skipped only when rhs(t) is a non-square mod some m,
-    and then rhs(t) is not a square.  So the hits are those of evaluating
-    every t.
+    rhs has integer coefficients, so rhs(t) mod m depends only on t mod m,
+    and the _RESIDUES consecutive arguments 1 - _HALF, ..., _HALF hold a
+    full period of each sieve modulus m.  Writing rhs = E(t^2) + t O(t^2),
+    two Horner passes of half the degree give E(r^2) and O(r^2) for
+    r = 0, ..., _HALF, and then rhs(r) = E + r O and rhs(-r) = E - r O.
+    Each modulus m gets a pattern whose bit k is set when rhs(k) mod m,
+    or rhs(k - m) mod m for k > _HALF, is a square mod m, 0 included; it
+    repeats with period m.  Each block of _BLOCK arguments, from t_min on,
+    ANDs the patterns, tiled and shifted to the block's first t mod m, into
+    one mask, and only the t left in it are evaluated.  This is sound: a t
+    is skipped only when rhs(t) is a non-square mod some m, and then rhs(t)
+    is not a square.  So the hits are those of evaluating every t.
     """
     if t_min > t_max:
         raise ValueError("empty range")
-    rev = curve.rhs.int_coeffs()[::-1]
-    residues = _horner_values(rev, range(_RESIDUES))
+    coeffs = curve.rhs.int_coeffs()
+    rev = coeffs[::-1]
+    squares = [r * r for r in range(_HALF + 1)]
+    evens = _horner_values(coeffs[::2][::-1], squares)
+    odds = _horner_values(coeffs[1::2][::-1], squares)
+    # residues[t] = rhs(t) for t = 1 - _HALF, ..., _HALF: rhs(0..32), then
+    # rhs(-31..-1), which Python's negative indices reach as residues[t]
+    residues = [e + r * o for r, (e, o) in enumerate(zip(evens, odds))]
+    residues += [evens[r] - r * odds[r] for r in range(_HALF - 1, 0, -1)]
     span = min(t_max - t_min + 1, _BLOCK)
     tiles = []
     for m, chars in zip(_SIEVE_MODULI, _SQUARE_CHARS):
-        # bit k for t = k mod m; tiled to cover a block at any shift below m
-        tile = int("".join([chars[v % m] for v in reversed(residues[:m])]), 2)
+        # bit k for t = k mod m, read at t = k up to _HALF and at t = k - m
+        # above, the last m - _HALF - 1 entries of residues; tiled to cover
+        # a block at any shift below m
+        if m > _HALF + 1:
+            window = residues[: _HALF + 1] + residues[_HALF + 1 - m :]
+        else:
+            window = residues[:m]
+        tile = int("".join([chars[v % m] for v in reversed(window)]), 2)
         bits = m
         while bits < span + m:
             tile |= tile << bits

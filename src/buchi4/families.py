@@ -377,30 +377,36 @@ def _json_number(v):
     return v if type(v) is int else str(v)
 
 
-def _read_rational(s: str):
-    return exact(parse_rational(s))
+class _Values:
+    """What a written verdict field may hold: the rationals, or with
+    integral the integers, from low to high."""
 
+    def __init__(self, low: float = -inf, high: float = inf, integral: bool = False):
+        self.low, self.high, self.integral = low, high, integral
 
-def _read_integer(low: int, high: float):
-    def read(s: str) -> int:
-        value = int(s)
-        if not low <= value <= high:
-            raise ValueError(f"not an integer in {low}..{high}: {s!r}")
-        return value
+    def __contains__(self, value) -> bool:
+        return (type(value) is int or not self.integral) and self.low <= value <= self.high
 
-    return read
+    def __str__(self) -> str:
+        if self.integral:
+            return f"an integer in {self.low}..{self.high}"
+        return "a rational"
 
 
 # Each verdict kind but lift: the name describe prints, and its fields as
-# (field, label in describe, reader of the serialized field).  serialize
-# writes the fields with a reader after the kind, ":"-separated; the trivial
-# parameter has none and is left out, so parse gives a trivial verdict with
-# x None.  to_json keys each field by its own name.
+# (field, label in describe, the _Values it may hold).  Classification
+# checks every given field against its _Values; serialize writes the fields
+# that have them after the kind, ":"-separated.  The trivial parameter has
+# none and is left out, so parse gives a trivial verdict with x None.
+# to_json keys each field by its own name.
 _VERDICTS = {
     "trivial": ("Trivial", (("x", "x", None),)),
-    "xi": ("Xi", (("n", "n", _read_integer(1, inf)), ("t", "t", _read_integer(0, inf)))),
-    "p": ("P", (("t", "t", _read_rational),)),
-    "r": ("R", (("index", "i", _read_integer(1, 15)), ("t", "t", _read_rational))),
+    "xi": (
+        "Xi",
+        (("n", "n", _Values(1, integral=True)), ("t", "t", _Values(0, integral=True))),
+    ),
+    "p": ("P", (("t", "t", _Values()),)),
+    "r": ("R", (("index", "i", _Values(1, 15, integral=True)), ("t", "t", _Values()))),
     "sporadic": ("Sporadic", ()),
 }
 
@@ -411,16 +417,18 @@ class Classification(Record):
     kind is one of 'trivial', 'xi', 'p', 'r', 'lift', 'sporadic'; any other
     raises ValueError.  n, t, x and index are None or go through
     arith.exact, so a float raises TypeError and a whole Fraction or a bool
-    is stored as its int.  A 'lift' wraps a base verdict b plus a count k:
-    the point is eta(zeta^k(w)) for a trivial involution eta and a point w
-    whose increasing positive form is b (or w is trivial).  k must be an int
-    (not a bool or a float) and b a Classification, or TypeError; k >= 1
-    and b of kind trivial, xi, p or r, or ValueError.  Every other kind
-    has lifts 0 and base None, or ValueError.  witness carries
-    the exact descent data (the outer involution, k, the inner involution
-    and the base point) so the verdict can be replayed forward; it is
-    deliberately excluded from the serialized forms, from equality, hashing
-    and repr.
+    is stored as its int.  A given field must hold what _VERDICTS allows,
+    which is what parse reads back: xi has n >= 1 and an integer t >= 0,
+    and r an index in 1..15, or ValueError.  A 'lift' wraps a base verdict
+    b plus a count k: the point is eta(zeta^k(w)) for a trivial involution
+    eta and a point w whose increasing positive form is b (or w is
+    trivial).  k must be an int (not a bool or a float) and b a
+    Classification, or TypeError; k >= 1 and b of kind trivial, xi, p or
+    r, or ValueError.  Every other kind has lifts 0 and base None, or
+    ValueError.  witness carries the exact descent data (the outer
+    involution, k, the inner involution and the base point) so the verdict
+    can be replayed forward; it is deliberately excluded from the
+    serialized forms, from equality, hashing and repr.
     """
 
     __slots__ = ("kind", "n", "t", "x", "index", "base", "lifts", "witness", "_key")
@@ -451,6 +459,10 @@ class Classification(Record):
         _set_t(self, t)
         _set_x(self, x)
         _set_index(self, index)
+        for f, _, held in _VERDICTS[kind][1] if kind != "lift" else ():
+            value = getattr(self, f)
+            if held and value is not None and value not in held:
+                raise ValueError(f"{kind} {f} must be {held}: {value!r}")
         _set_base(self, base)
         _set_lifts(self, lifts)
         _set_witness(self, witness)
@@ -471,7 +483,7 @@ class Classification(Record):
         if self.kind == "lift":
             return f"zeta^{self.lifts}({self.base.serialize()})"
         fields = _VERDICTS[self.kind][1]
-        values = (format_rational(getattr(self, f)) for f, _, read in fields if read)
+        values = (format_rational(getattr(self, f)) for f, _, held in fields if held)
         return ":".join((self.kind, *values))
 
     @classmethod
@@ -481,7 +493,8 @@ class Classification(Record):
         text, which serialize gives back unchanged, and only what classify
         can return parses: a lift has k >= 1 over a trivial, xi, p or r
         base, xi has n >= 1 and an integer t >= 0, and r an index in
-        1..15; anything else raises ValueError."""
+        1..15 (the ranges Classification checks); anything else raises
+        ValueError."""
         if text.startswith("zeta^"):
             head, _, inner = text.partition("(")
             got = cls("lift", base=cls.parse(inner[:-1]), lifts=int(head[5:]))
@@ -489,10 +502,10 @@ class Classification(Record):
             kind, *parts = text.split(":")
             if kind not in _VERDICTS:
                 raise ValueError(f"unrecognized classification {text!r}")
-            fields = [(f, read) for f, _, read in _VERDICTS[kind][1] if read]
+            fields = [f for f, _, held in _VERDICTS[kind][1] if held]
             if len(parts) != len(fields):
                 raise ValueError(f"{kind} takes {len(fields)} fields: {text!r}")
-            got = cls(kind, **{f: read(s) for (f, read), s in zip(fields, parts)})
+            got = cls(kind, **{f: parse_rational(s) for f, s in zip(fields, parts)})
         if got.serialize() != text:
             raise ValueError(f"{text!r} is not canonical: serialize writes {got.serialize()!r}")
         return got
@@ -986,9 +999,10 @@ def classify(seq: Sequence) -> Classification:
 def verify_classification(seq: Sequence, cls: Classification) -> bool:
     """Replay a verdict by the tests classify made.  Every kind needs the
     point on the surface, a trivial one the point trivial (with x, when
-    given), a p or r one _family_has (so a pole or an r index outside 1..15
-    is False), and a sporadic one a non-trivial, strictly increasing and
-    positive point (that it lies in no family is not checked)."""
+    given), an xi one xi(n, t), a p or r one _family_has (so a pole is
+    False), and a sporadic one a non-trivial, strictly increasing and
+    positive point (that it lies in no family is not checked).  An xi, p or
+    r verdict without the fields that name its point is False."""
     pt = exact_point(seq)
     v = to_vector(pt)
     if not vector_on_surface(v):
@@ -997,12 +1011,12 @@ def verify_classification(seq: Sequence, cls: Classification) -> bool:
         x = _vector_trivial(v)
         return x is not None and (cls.x is None or cls.x == x)
     if cls.kind == "xi":
-        return xi_eval(cls.n, cls.t) == pt
+        return cls.n is not None and cls.t is not None and xi_eval(cls.n, cls.t) == pt
     if cls.kind == "p":
         return cls.t is not None and _family_has(0, cls.t, v)
     if cls.kind == "r":
         i, t = cls.index, cls.t
-        return i in range(1, 16) and t is not None and _family_has(i, t, v)
+        return i is not None and t is not None and _family_has(i, t, v)
     if cls.kind == "lift":
         return cls.witness is not None and _tower_replays(v, cls)
     return is_increasing_positive(pt) and _vector_trivial(v) is None

@@ -84,6 +84,23 @@ def test_a_family_argument_must_be_an_int_or_a_fraction():
     assert Classification("r", index=True, t=1).describe() == "R(i=1, t=1)"
 
 
+def test_a_verdict_holds_only_what_parse_reads_back():
+    # each of these would serialize to text that parse refuses, r:16:0 first
+    for kind, kwargs in [
+        ("r", dict(index=16, t=0)),
+        ("r", dict(index=0, t=0)),
+        ("r", dict(index=Fraction(3, 2), t=0)),
+        ("xi", dict(n=0, t=0)),
+        ("xi", dict(n=-1, t=0)),
+        ("xi", dict(n=1, t=-1)),
+        ("xi", dict(n=1, t=Fraction(1, 2))),
+    ]:
+        with pytest.raises(ValueError, match=f"{kind} [a-z]+ must be an integer in"):
+            Classification(kind, **kwargs)
+    assert Classification("r", index=15, t=Fraction(-3, 4)).serialize() == "r:15:-3/4"
+    assert Classification("xi", n=1, t=Fraction(4, 2)) == Classification.parse("xi:1:2")
+
+
 def test_a_lift_needs_an_int_count_and_a_base_verdict():
     trivial = Classification("trivial")
     for kind, kwargs, error in [

@@ -100,14 +100,14 @@ def test_a_closed_pipe_ends_the_output_quietly():
     # `buchi4 xi --n 300` writes about 800 KB, far more than a pipe holds, so
     # the write fails once the reader has closed its end
     env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "buchi4.cli", "xi", "--n", "300"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.read(10) == b"x1 = 20370"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 1
+    ) as proc:
+        assert proc.stdout.read(10) == b"x1 = 20370"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
     assert err == b""
 
 

@@ -173,10 +173,11 @@ def test_the_sieve_equals_the_plain_scan(n, side, t_min, width):
 def test_the_scan_evaluates_only_the_residues_and_what_every_pattern_keeps(
     monkeypatch,
 ):
-    # one benchmark segment of the costliest curve: rhs(0..63), the residue
-    # points whatever the range, then only the t whose value is a square
-    # modulo every sieve modulus; no t of the range is evaluated otherwise
-    curve = curve_rhs(8, "right")
+    # one benchmark segment of each of the costliest curves, the left one at
+    # negative t: the even and the odd part of rhs at the squares 0, 1, ...,
+    # 32^2, the residue points whatever the range, then only the t whose
+    # value is a square modulo every sieve modulus; no t of the range is
+    # evaluated otherwise
     calls = []
     horner_values = curves._horner_values
 
@@ -185,17 +186,24 @@ def test_the_scan_evaluates_only_the_residues_and_what_every_pattern_keeps(
         return horner_values(rev, ts)
 
     monkeypatch.setattr(curves, "_horner_values", recording)
-    assert scan_integer_points(curve, 1080, 1239) == []
-    coeffs = curve.coefficients()
+    squares = [r * r for r in range(33)]
+    for side, lo, hi, want in [
+        ("right", 1080, 1239, [1171, 1186, 1217, 1223]),
+        ("left", -1240, -1081, [-1228, -1222, -1191, -1176]),
+    ]:
+        curve = curve_rhs(8, side)
+        calls.clear()
+        assert scan_integer_points(curve, lo, hi) == []
+        coeffs = curve.coefficients()
 
-    def kept(t):
-        v = sum(c * t**k for k, c in enumerate(coeffs))
-        return all(any((v - x * x) % m == 0 for x in range(m)) for m in _SIEVE_MODULI)
+        def kept(t):
+            v = sum(c * t**k for k, c in enumerate(coeffs))
+            return all(any((v - x * x) % m == 0 for x in range(m)) for m in _SIEVE_MODULI)
 
-    survivors = [t for t in range(1080, 1240) if kept(t)]
-    assert survivors == [1171, 1186, 1217, 1223]
-    assert calls[0] == list(range(64))
-    assert [t for ts in calls[1:] for t in ts] == survivors
+        survivors = [t for t in range(lo, hi + 1) if kept(t)]
+        assert survivors == want
+        assert calls[0] == calls[1] == squares
+        assert [t for ts in calls[2:] for t in ts] == survivors
 
 
 def test_the_sieve_drops_no_square():

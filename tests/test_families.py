@@ -495,11 +495,14 @@ def test_sporadic_and_parsed_trivial_verdicts_replay_only_where_classify_returns
 
 def test_family_verdicts_replay_by_the_membership_test():
     # a p or r verdict replays through _family_has, as classify tested it:
-    # r3 has a pole at t = 0, and r0 and r16 do not exist, so each is False
+    # r3 has a pole at t = 0, so it is False; a verdict missing a field that
+    # names its point is False, xi included
     xi10 = (6, 23, 32, 39)
-    for i in (3, 0, 16):
-        assert not verify_classification(xi10, Classification("r", index=i, t=0)), i
+    assert not verify_classification(xi10, Classification("r", index=3, t=0))
     assert not verify_classification(xi10, Classification("r", t=0))
+    assert verify_classification(xi10, Classification("xi", n=1, t=0))
+    for kwargs in ({}, dict(n=1), dict(t=0)):
+        assert not verify_classification(xi10, Classification("xi", **kwargs)), kwargs
     assert not verify_classification(xi10, Classification("p"))
     assert not verify_classification(xi10, Classification("trivial", x=5))
     for t in (0, 1, Fraction(1, 2)):
